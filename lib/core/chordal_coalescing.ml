@@ -66,41 +66,44 @@ let covering_chain intervals ~len x y =
 let decide g ~k x y =
   if not (Graph.mem_vertex g x && Graph.mem_vertex g y) then
     invalid_arg "Chordal_coalescing.decide: absent vertex";
-  if not (Chordal.is_chordal g) then
-    invalid_arg "Chordal_coalescing.decide: graph is not chordal";
-  if x = y then Coalescable []
-  else if Graph.mem_edge g x y then
-    Uncoalescable "x and y interfere"
-  else
-    let omega = Chordal.omega g in
-    if k < omega then
-      Uncoalescable (Printf.sprintf "k=%d < omega=%d: no k-coloring at all" k omega)
-    else
-      let tree = Clique_tree.build g in
-      match Clique_tree.path_between_vertices tree x y with
-      | None -> Coalescable [] (* different components *)
-      | Some [] -> assert false
-      | Some [ _ ] ->
-          (* Subtrees share a node: only possible if x and y interfere,
-             excluded above. *)
-          assert false
-      | Some path ->
-          let len = List.length path in
-          let intervals = intervals_on_path tree path in
-          let intervals = pad_intervals intervals ~len ~omega in
-          (match covering_chain intervals ~len x y with
-          | None ->
-              Uncoalescable "no disjoint interval cover links I_x to I_y"
-          | Some chain ->
-              let middle =
-                List.filter_map
-                  (fun (i : Interval_cover.interval) ->
-                    if i.tag <> x && i.tag <> y && i.tag <> padding_tag then
-                      Some i.tag
-                    else None)
-                  chain
-              in
-              Coalescable middle)
+  match Chordal.peo g with
+  | None -> invalid_arg "Chordal_coalescing.decide: graph is not chordal"
+  | Some _ when x = y -> Coalescable []
+  | Some _ when Graph.mem_edge g x y -> Uncoalescable "x and y interfere"
+  | Some peo -> (
+      let tree = Clique_tree.of_peo peo in
+      let omega = Clique_tree.omega tree in
+      if k < omega then
+        Uncoalescable
+          (Printf.sprintf "k=%d < omega=%d: no k-coloring at all" k omega)
+      else
+        match Clique_tree.path_between_vertices tree x y with
+        | None -> Coalescable [] (* different components *)
+        | Some [] ->
+            invalid_arg
+              "Chordal_coalescing.decide: empty clique-tree path (a tree \
+               path contains both of its end nodes)"
+        | Some [ _ ] ->
+            invalid_arg
+              "Chordal_coalescing.decide: T_x and T_y share a clique-tree \
+               node although x and y do not interfere (subtrees meet iff \
+               their vertices are adjacent)"
+        | Some path -> (
+            let len = List.length path in
+            let intervals = intervals_on_path tree path in
+            let intervals = pad_intervals intervals ~len ~omega in
+            match covering_chain intervals ~len x y with
+            | None -> Uncoalescable "no disjoint interval cover links I_x to I_y"
+            | Some chain ->
+                let middle =
+                  List.filter_map
+                    (fun (i : Interval_cover.interval) ->
+                      if i.tag <> x && i.tag <> y && i.tag <> padding_tag then
+                        Some i.tag
+                      else None)
+                    chain
+                in
+                Coalescable middle))
 
 let can_coalesce g ~k x y =
   match decide g ~k x y with Coalescable _ -> true | Uncoalescable _ -> false

@@ -189,9 +189,9 @@ let () =
           Portfolio.conservative_race ?stop ?prime p);
     }
 
-let run_chordal_incremental ?rows (p : Problem.t) =
+let run_chordal_incremental ?rows ~incremental (p : Problem.t) =
   if not (Rc_graph.Chordal.is_chordal p.graph) then
-    Conservative.coalesce ?rows Conservative.Brute_force p
+    Conservative.coalesce ?rows ~incremental Conservative.Brute_force p
   else begin
     let by_weight =
       List.sort
@@ -267,7 +267,7 @@ let run_cfg cfg strategy (p : Problem.t) =
     | Irc r -> (Irc.allocate ~rule:r p).solution
     | Optimistic ->
         Optimistic.coalesce ?rows ~scoring:cfg.scoring ~incremental p
-    | Chordal_incremental -> run_chordal_incremental ?rows p
+    | Chordal_incremental -> run_chordal_incremental ?rows ~incremental p
         | Set_conservative n ->
             let max_set = if n >= 1 then n else cfg.max_set in
             Set_coalescing.coalesce ?rows ~max_set ~incremental p

@@ -104,64 +104,81 @@ let is_perfect_elimination_order g order =
 
 let is_chordal g = flat_is_chordal (Flat.of_graph g)
 
-(* Later-neighbor map: for each vertex, its neighbors occurring strictly
-   after it in [order].  Feeds the PEO-derived structures below (omega,
-   coloring, maximal cliques), which stay on the persistent
-   representation — they are not on the hot paths. *)
-let later_neighbors g order =
-  let position = Hashtbl.create (List.length order) in
-  List.iteri (fun i v -> Hashtbl.replace position v i) order;
-  let later v =
-    let pv = Hashtbl.find position v in
-    ISet.filter (fun u -> Hashtbl.find position u > pv) (Graph.neighbors g v)
-  in
-  (position, later)
-
 let simplicial_vertices g =
   List.filter
     (fun v -> Graph.is_clique g (ISet.elements (Graph.neighbors g v)))
     (Graph.vertices g)
 
-let require_chordal g fn =
-  if not (is_chordal g) then
-    invalid_arg (Printf.sprintf "Chordal.%s: graph is not chordal" fn)
+(* ------------------------------------------------------------------ *)
+(* One elimination pass                                                *)
+(* ------------------------------------------------------------------ *)
 
-let omega g =
-  require_chordal g "omega";
-  if Graph.num_vertices g = 0 then 0
-  else
-    let order = mcs_order g in
-    let _, later = later_neighbors g order in
-    List.fold_left (fun m v -> max m (1 + ISet.cardinal (later v))) 1 order
+(* Everything this module (and {!Clique_tree}) derives from a PEO reads
+   one record: one flat snapshot, one MCS, one PEO check.  Vertices are
+   addressed by their position in the order, so the later-neighbour
+   sets are plain arrays. *)
+type peo = { vertices : Graph.vertex array; later : int array array }
+
+let peo g =
+  let f = Flat.of_graph g in
+  let order = flat_mcs_order f in
+  if not (flat_is_peo f order) then None
+  else begin
+    let idx = Array.of_list order in
+    let pos = Flat.scratch1 f in
+    Array.iteri (fun p v -> pos.(v) <- p) idx;
+    let later =
+      Array.mapi
+        (fun p v ->
+          Array.of_list
+            (Flat.fold_neighbors f v
+               (fun acc u -> if pos.(u) > p then pos.(u) :: acc else acc)
+               []))
+        idx
+    in
+    Some { vertices = Array.map (Flat.label f) idx; later }
+  end
+
+let peo_omega e =
+  Array.fold_left (fun m l -> max m (1 + Array.length l)) 0 e.later
+
+(* C_p = {p} ∪ later(p) is a clique of the PEO.  It fails to be maximal
+   exactly when some q has p as its follower (earliest later neighbour)
+   and |later(q)| = |later(p)| + 1: then later(q) = C_p, because
+   later(q) \ {p} is a clique of vertices after p, all adjacent to p. *)
+let maximal_heads e =
+  let n = Array.length e.vertices in
+  let dropped = Array.make n false in
+  Array.iter
+    (fun l ->
+      if Array.length l > 0 then begin
+        let follower = Array.fold_left min max_int l in
+        if Array.length l = Array.length e.later.(follower) + 1 then
+          dropped.(follower) <- true
+      end)
+    e.later;
+  List.filter (fun p -> not dropped.(p)) (List.init n Fun.id)
+
+let clique_at e p =
+  Array.fold_left
+    (fun s q -> ISet.add e.vertices.(q) s)
+    (ISet.singleton e.vertices.(p))
+    e.later.(p)
+
+let require_peo g fn =
+  match peo g with
+  | Some e -> e
+  | None -> invalid_arg (Printf.sprintf "Chordal.%s: graph is not chordal" fn)
+
+let omega g = peo_omega (require_peo g "omega")
 
 let color g =
-  require_chordal g "color";
-  let order = mcs_order g in
-  Coloring.greedy g (List.rev order)
+  let e = require_peo g "color" in
+  Coloring.greedy g (List.rev (Array.to_list e.vertices))
 
 let maximal_cliques g =
-  require_chordal g "maximal_cliques";
-  let order = mcs_order g in
-  let _, later = later_neighbors g order in
-  let position = Hashtbl.create 16 in
-  List.iteri (fun i v -> Hashtbl.replace position v i) order;
-  let candidate v = ISet.add v (later v) in
-  (* A candidate C_v can only be contained in C_w for w = v or an earlier
-     neighbor of v (the representative of any containing clique precedes
-     all its members in the PEO). *)
-  let earlier_neighbors v =
-    ISet.filter
-      (fun u -> Hashtbl.find position u < Hashtbl.find position v)
-      (Graph.neighbors g v)
-  in
-  List.filter_map
-    (fun v ->
-      let cv = candidate v in
-      let dominated =
-        ISet.exists (fun w -> ISet.subset cv (candidate w)) (earlier_neighbors v)
-      in
-      if dominated then None else Some cv)
-    order
+  let e = require_peo g "maximal_cliques" in
+  List.map (clique_at e) (maximal_heads e)
 
 let find_chordless_cycle g =
   if is_chordal g then None
@@ -228,6 +245,17 @@ let find_chordless_cycle g =
 (* ------------------------------------------------------------------ *)
 
 module Reference = struct
+  (* Later-neighbor map: for each vertex, its neighbors occurring
+     strictly after it in [order]. *)
+  let later_neighbors g order =
+    let position = Hashtbl.create (List.length order) in
+    List.iteri (fun i v -> Hashtbl.replace position v i) order;
+    let later v =
+      let pv = Hashtbl.find position v in
+      ISet.filter (fun u -> Hashtbl.find position u > pv) (Graph.neighbors g v)
+    in
+    (position, later)
+
   let mcs_order g =
     let n = Graph.num_vertices g in
     if n = 0 then []

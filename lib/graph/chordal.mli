@@ -40,7 +40,41 @@ val color : Graph.t -> Coloring.coloring
 
 val maximal_cliques : Graph.t -> Graph.ISet.t list
 (** The maximal cliques of a *chordal* graph (at most |V| of them),
-    derived from a PEO.  Raises [Invalid_argument] if not chordal. *)
+    derived from a PEO: the sets [C_v = {v} ∪ later(v)] in elimination
+    order, minus those contained in another.  Raises [Invalid_argument]
+    if not chordal. *)
+
+(** {1 One elimination pass}
+
+    {!omega}, {!color}, {!maximal_cliques} and {!Clique_tree} all read
+    the same record: one flat snapshot, one MCS and one PEO check,
+    O(V + E).  Vertices are addressed by their {e position} in the
+    elimination order. *)
+
+type peo = private {
+  vertices : Graph.vertex array;
+      (** position -> vertex; position 0 is eliminated first *)
+  later : int array array;
+      (** position -> positions of its later neighbours (a clique), in
+          unspecified order *)
+}
+
+val peo : Graph.t -> peo option
+(** The MCS elimination order with its later-neighbour sets, or [None]
+    when the graph is not chordal (the order is then not a PEO).  The
+    order is exactly {!mcs_order}'s. *)
+
+val peo_omega : peo -> int
+(** [1 + max |later(p)|]: the clique number (0 on the empty graph). *)
+
+val maximal_heads : peo -> int list
+(** The positions [p] whose clique [{p} ∪ later(p)] is maximal, in
+    increasing order.  [C_p] is dropped iff some [q] has [p] as its
+    follower (earliest later neighbour) and
+    [|later(q)| = |later(p)| + 1]. *)
+
+val clique_at : peo -> int -> Graph.ISet.t
+(** The vertices of [{p} ∪ later(p)]. *)
 
 val find_chordless_cycle : Graph.t -> Graph.vertex list option
 (** A certificate of non-chordality: a cycle of length >= 4 without a

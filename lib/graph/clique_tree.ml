@@ -5,11 +5,14 @@ type t = {
   cliques : ISet.t array;
   adjacency : int list array; (* forest over clique indices *)
   subtree : int list IMap.t; (* vertex -> sorted node indices containing it *)
+  omega : int;
 }
 
 let num_nodes t = Array.length t.cliques
 
 let clique t i = t.cliques.(i)
+
+let omega t = t.omega
 
 let tree_edges t =
   let acc = ref [] in
@@ -24,73 +27,73 @@ let nodes_of_vertex t v =
 (* Classical construction: the maximal cliques are the nodes, and any
    maximum-weight spanning forest of the clique-intersection graph
    (weight = intersection size) is a clique tree (Bernstein–Goodman).
-   Candidate pairs are found through shared vertices, so only
-   intersecting cliques are ever compared. *)
-let build g =
-  if not (Chordal.is_chordal g) then
-    invalid_arg "Clique_tree.build: graph is not chordal";
-  let cliques = Array.of_list (Chordal.maximal_cliques g) in
-  let n = Array.length cliques in
-  (* vertex -> clique indices containing it *)
-  let holders = Hashtbl.create 64 in
-  Array.iteri
-    (fun i c ->
-      ISet.iter
-        (fun v ->
-          let cur = match Hashtbl.find_opt holders v with Some l -> l | None -> [] in
-          Hashtbl.replace holders v (i :: cur))
-        c)
-    cliques;
-  let candidate_pairs = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun _ is ->
-      let rec pairs = function
-        | [] -> ()
-        | i :: rest ->
-            List.iter
-              (fun j ->
-                let key = (min i j, max i j) in
-                if not (Hashtbl.mem candidate_pairs key) then
-                  Hashtbl.replace candidate_pairs key ())
-              rest;
-            pairs rest
-      in
-      pairs is)
-    holders;
-  let weighted =
-    Hashtbl.fold
-      (fun (i, j) () acc ->
-        ((i, j), ISet.cardinal (ISet.inter cliques.(i) cliques.(j))) :: acc)
-      candidate_pairs []
-    |> List.sort (fun (e1, w1) (e2, w2) -> compare (w2, e1) (w1, e2))
-  in
+   Kruskal takes the candidate edges by weight descending, then (i, j)
+   ascending, and that order fixes which tree — and so which certificate
+   chains — the Theorem 5 decision sees.
+
+   Everything comes from one elimination pass.  Scanning cliques j in
+   index order, each vertex's [holders] list names the earlier cliques
+   containing it, so one touch per shared vertex counts |C_i ∩ C_j| for
+   every i < j: no set intersection.  The pairs are then dealt into one
+   bucket per weight, in reverse (i, j) order onto list heads, so each
+   bucket ends up ascending: no comparison sort. *)
+let of_peo (e : Chordal.peo) =
+  let heads = Array.of_list (Chordal.maximal_heads e) in
+  let n = Array.length heads in
+  let cliques = Array.map (Chordal.clique_at e) heads in
+  let omega = Chordal.peo_omega e in
+  let holders = Array.make (Array.length e.vertices) [] in
+  let shared = Array.make n 0 in
+  let pairs_of = Array.make n [] in
+  (* pairs_of.(i): (j, |C_i ∩ C_j|) for each j > i meeting C_i, j descending *)
+  for j = 0 to n - 1 do
+    let touched = ref [] in
+    let visit q =
+      List.iter
+        (fun i ->
+          if shared.(i) = 0 then touched := i :: !touched;
+          shared.(i) <- shared.(i) + 1)
+        holders.(q);
+      holders.(q) <- j :: holders.(q)
+    in
+    visit heads.(j);
+    Array.iter visit e.later.(heads.(j));
+    List.iter
+      (fun i ->
+        pairs_of.(i) <- (j, shared.(i)) :: pairs_of.(i);
+        shared.(i) <- 0)
+      !touched
+  done;
+  (* Distinct maximal cliques share at most omega - 1 vertices. *)
+  let buckets = Array.make omega [] in
+  for i = n - 1 downto 0 do
+    List.iter (fun (j, w) -> buckets.(w) <- (i, j) :: buckets.(w)) pairs_of.(i)
+  done;
   (* Kruskal with union-find. *)
   let parent = Array.init n (fun i -> i) in
   let rec find i = if parent.(i) = i then i else (parent.(i) <- find parent.(i); parent.(i)) in
   let adjacency = Array.make n [] in
-  List.iter
-    (fun ((i, j), _w) ->
-      let ri = find i and rj = find j in
-      if ri <> rj then begin
-        parent.(ri) <- rj;
-        adjacency.(i) <- j :: adjacency.(i);
-        adjacency.(j) <- i :: adjacency.(j)
-      end)
-    weighted;
-  let subtree =
-    Array.to_list cliques
-    |> List.mapi (fun i c -> (i, c))
-    |> List.fold_left
-         (fun m (i, c) ->
-           ISet.fold
-             (fun v m ->
-               let l = match IMap.find_opt v m with Some l -> l | None -> [] in
-               IMap.add v (i :: l) m)
-             c m)
-         IMap.empty
-    |> IMap.map List.rev
-  in
-  { cliques; adjacency; subtree }
+  for w = Array.length buckets - 1 downto 1 do
+    List.iter
+      (fun (i, j) ->
+        let ri = find i and rj = find j in
+        if ri <> rj then begin
+          parent.(ri) <- rj;
+          adjacency.(i) <- j :: adjacency.(i);
+          adjacency.(j) <- i :: adjacency.(j)
+        end)
+      buckets.(w)
+  done;
+  let subtree = ref IMap.empty in
+  Array.iteri
+    (fun q nodes -> subtree := IMap.add e.vertices.(q) (List.rev nodes) !subtree)
+    holders;
+  { cliques; adjacency; subtree = !subtree; omega }
+
+let build g =
+  match Chordal.peo g with
+  | Some e -> of_peo e
+  | None -> invalid_arg "Clique_tree.build: graph is not chordal"
 
 let path_between t src dst =
   if src = dst then Some [ src ]

@@ -14,7 +14,18 @@ val build : Graph.t -> t
 (** Builds a clique tree.  Raises [Invalid_argument] if the graph is not
     chordal. *)
 
+val of_peo : Chordal.peo -> t
+(** The clique tree of an elimination pass: nodes are
+    {!Chordal.maximal_heads}'s cliques in that order, and the forest is
+    Kruskal's maximum-weight spanning forest of the clique-intersection
+    graph, taking edges by weight descending, then (i, j) ascending.
+    O(V·ω + number of intersecting clique pairs), with no set
+    intersection and no comparison sort. *)
+
 val num_nodes : t -> int
+
+val omega : t -> int
+(** Size of the largest node: the graph's clique number. *)
 
 val clique : t -> int -> Graph.ISet.t
 (** Vertex set of tree node [i] (a maximal clique of the graph). *)

@@ -28,6 +28,8 @@ module Optimistic = Rc_core.Optimistic
 module Spec = Coalescing.Speculation
 module Rule_cache = Rc_core.Rule_cache
 module Worklist = Rc_core.Worklist
+module Strategies = Rc_core.Strategies
+module Chordal = Rc_graph.Chordal
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -222,6 +224,32 @@ let test_optimistic_differential () =
       and b = Optimistic.coalesce ~rows ~incremental:false p in
       assert_same_solution "optimistic" p a.Coalescing.state
         b.Coalescing.state)
+
+(* Chordal-incremental answers non-chordal input with the brute-force
+   fixpoint; that fallback must honour [incremental] like every other
+   strategy, and the engine must agree with the rescan there too. *)
+let test_chordal_fallback_differential () =
+  run_seeds ~name:"chordal-fallback-incremental-vs-rescan" ~count:40
+    (fun seed ->
+      let p =
+        Qcheck_gen.problem_in ~cls:Qcheck_gen.Gnp ~n:30 ~density:0.25
+          ~affinity_fraction:0.8 seed
+      in
+      if Chordal.is_chordal p.graph then
+        Alcotest.failf "seed %d: expected a non-chordal instance" seed;
+      let rows = rows_of_seed seed in
+      let run incremental =
+        Strategies.run_cfg
+          { Strategies.default_config with rows = Some rows; incremental }
+          Strategies.Chordal_incremental p
+      in
+      let spec =
+        Conservative.coalesce ~rows ~incremental:false Conservative.Brute_force p
+      in
+      assert_same_solution "chordal-incremental, cached" p
+        (run true).Coalescing.state spec.Coalescing.state;
+      assert_same_solution "chordal-incremental, rescan" p
+        (run false).Coalescing.state spec.Coalescing.state)
 
 (* ------------------------------------------------------------------ *)
 (* Incremental elimination order                                       *)
@@ -434,6 +462,9 @@ let () =
             `Quick test_set_differential;
           Alcotest.test_case "optimistic incremental = rescan (60 seeds)"
             `Quick test_optimistic_differential;
+          Alcotest.test_case
+            "chordal-incremental fallback incremental = rescan (40 seeds)"
+            `Quick test_chordal_fallback_differential;
         ] );
       ( "elim-order",
         [
