@@ -302,10 +302,9 @@ let on_spec_event ev (s : Speculation.spec) =
       (* The fast commit derives the committed graph FROM the flat
          mirror, so comparing the two would be circular.  Re-derive the
          result independently instead: replay the merge log onto the
-         base state through the persistent [Graph.merge] path and
-         compare graphs and classes.  This is the O(merges * n) cost
-         the fast commit avoids — paid only under the sanitizer, once
-         per search. *)
+         base state through the persistent [Coalescing.merge] path and
+         compare graphs and classes — paid only under the sanitizer,
+         once per search. *)
       let replayed =
         Speculation.replay (Speculation.base s) (Speculation.merge_log s)
       in

@@ -11,7 +11,7 @@ let by_weight affinities =
    winner convention (the first endpoint's representative survives) as
    the historical persistent loop, so committed classes are identical —
    but each merge is O(row ops) on the flat mirror instead of a
-   persistent graph surgery plus an O(n) representative-map rewrite. *)
+   persistent graph surgery. *)
 let coalesce_spec spec affinities =
   let f = Spec.flat spec in
   let rec pass pending =

@@ -1,76 +1,109 @@
 module Graph = Rc_graph.Graph
 module IMap = Graph.IMap
 
+(* A merged class of two or more original vertices.  [members] is in no
+   particular order (a merge prepends the absorbed class's list onto the
+   survivor's); readers sort. *)
+type cls = {
+  rep : Graph.vertex; (* the class's vertex in the merged graph *)
+  size : int;
+  members : Graph.vertex list;
+}
+
 type state = {
   graph : Graph.t;
-  repr : Graph.vertex IMap.t; (* original vertex -> current representative *)
+  cid : int IMap.t;
+      (* original vertex -> class id.  A class id is one of the class's
+         members, so a singleton's id is the vertex itself. *)
+  cls : cls IMap.t; (* class id -> class, classes of two or more only *)
 }
 
 let initial g =
   {
     graph = g;
-    repr =
+    cid =
       List.fold_left (fun m v -> IMap.add v v m) IMap.empty (Graph.vertices g);
+    cls = IMap.empty;
   }
 
+let class_id st v =
+  match IMap.find v st.cid with
+  | c -> c
+  | exception Not_found ->
+      invalid_arg (Printf.sprintf "Coalescing.find: unknown vertex %d" v)
+
+(* The class with id [c], singletons included. *)
+let class_of_id st c =
+  match IMap.find_opt c st.cls with
+  | Some k -> k
+  | None -> { rep = c; size = 1; members = [ c ] }
+
 let find st v =
-  match IMap.find_opt v st.repr with
-  | Some r -> r
-  | None -> invalid_arg (Printf.sprintf "Coalescing.find: unknown vertex %d" v)
+  let c = class_id st v in
+  match IMap.find_opt c st.cls with Some k -> k.rep | None -> c
 
 let graph st = st.graph
 
-let same_class st u v = find st u = find st v
+let same_class st u v = class_id st u = class_id st v
 
+(* Union by size: the smaller class is relabelled and its member list
+   prepended onto the larger one's, so a merge costs the graph surgery
+   plus O(smaller class * log n).  The survivor is [u]'s representative
+   whichever class keeps its id. *)
 let merge st u v =
-  let ru = find st u and rv = find st v in
-  if ru = rv then None
-  else if Graph.mem_edge st.graph ru rv then None
+  let cu = class_id st u and cv = class_id st v in
+  if cu = cv then None
   else
-    let graph = Graph.merge st.graph ru rv in
-    let repr = IMap.map (fun r -> if r = rv then ru else r) st.repr in
-    Some { graph; repr }
+    let ku = class_of_id st cu and kv = class_of_id st cv in
+    if Graph.mem_edge st.graph ku.rep kv.rep then None
+    else
+      let keep, big, gone, small =
+        if kv.size > ku.size then (cv, kv, cu, ku) else (cu, ku, cv, kv)
+      in
+      let merged =
+        {
+          rep = ku.rep;
+          size = ku.size + kv.size;
+          members = List.rev_append small.members big.members;
+        }
+      in
+      Some
+        {
+          graph = Graph.merge st.graph ku.rep kv.rep;
+          cid = List.fold_left (fun m w -> IMap.add w keep m) st.cid small.members;
+          cls = IMap.add keep merged (IMap.remove gone st.cls);
+        }
 
 let classes st =
   IMap.fold
-    (fun orig r acc ->
-      let cur = match IMap.find_opt r acc with Some l -> l | None -> [] in
-      IMap.add r (orig :: cur) acc)
-    st.repr IMap.empty
-  |> IMap.bindings
-  |> List.map (fun (r, members) -> (r, List.rev members))
-
-let class_of st v =
-  let r = find st v in
-  IMap.fold
-    (fun orig r' acc -> if r' = r then orig :: acc else acc)
-    st.repr []
+    (fun v c acc ->
+      match IMap.find_opt c st.cls with
+      | None -> (v, [ v ]) :: acc
+      | Some k when k.rep = v -> (v, List.sort Int.compare k.members) :: acc
+      | Some _ -> acc)
+    st.cid []
   |> List.rev
 
-(* Build a state directly from explicit interference-free classes:
-   merge each class into its representative on a flat mirror (linear in
-   edges), instead of a chain of persistent [Graph.merge]s (each one an
-   O(n) representative-map rewrite — quadratic over a search's worth).
-   Vertices not named by any class stay singletons.  The optimistic
-   scheme uses this to realize the classes surviving de-coalescing. *)
+let class_of st v =
+  List.sort Int.compare (class_of_id st (class_id st v)).members
+
 let of_classes g cls =
-  let f = Rc_graph.Flat.of_graph g in
-  List.iter
-    (fun (rep, members) ->
-      let irep = Rc_graph.Flat.index f rep in
-      List.iter
-        (fun v ->
-          if v <> rep then Rc_graph.Flat.merge f irep (Rc_graph.Flat.index f v))
-        members)
-    cls;
-  let repr =
-    List.fold_left
-      (fun m (rep, members) ->
-        List.fold_left (fun m v -> IMap.add v rep m) m members)
-      (List.fold_left (fun m v -> IMap.add v v m) IMap.empty (Graph.vertices g))
-      cls
-  in
-  { graph = Rc_graph.Flat.to_graph f; repr }
+  List.fold_left
+    (fun st (rep, members) ->
+      List.fold_left
+        (fun st v ->
+          if v = rep then st
+          else
+            match merge st rep v with
+            | Some st -> st
+            | None ->
+                invalid_arg
+                  (Printf.sprintf
+                     "Coalescing.of_classes: %d cannot join %d's class (the \
+                      classes overlap or interfere)"
+                     v rep))
+        st members)
+    (initial g) cls
 
 (* ------------------------------------------------------------------ *)
 (* Speculation: the shared flat merge-search context                    *)
@@ -208,30 +241,51 @@ module Speculation = struct
         let iu, iv = s.merges.(i) in
         (Flat.label s.f iu, Flat.label s.f iv))
 
-  (* Replay a merge log onto a persistent state.  Each entry was
-     validated against the very graph it is applied to, so no merge can
-     fail. *)
+  (* Replay a merge log onto a persistent state.  A log taken from a
+     speculation applies to that speculation's base by construction; an
+     entry that does not apply means the log and the state disagree. *)
   let replay st log =
     List.fold_left
       (fun st (u, v) ->
         match state_merge st u v with
         | Some st' -> st'
-        | None -> assert false)
+        | None ->
+            invalid_arg
+              (Printf.sprintf
+                 "Coalescing.Speculation.replay: merge (%d, %d) does not apply \
+                  to its base (same class or interfering)"
+                 u v))
       st log
 
   (* Commit without replay: the flat mirror already IS the merged
-     graph, and the union-find composed with the base representative
-     map IS the new representative map.  Replaying [merge_log] instead
-     costs one persistent [Graph.merge] plus an O(n) [IMap.map] per
-     accepted merge — quadratic over a 10^5-vertex fixpoint.  The
-     sanitizer's [Committed] audit still replays the log independently
-     and compares, so the equivalence stays machine-checked. *)
+     graph, and the union-find composed with the base classes gives the
+     new ones — one pass over the base's vertices, whatever the number
+     of merges.  The new class ids are the new representatives.  The
+     sanitizer's [Committed] audit replays the log independently and
+     compares, so the equivalence stays machine-checked. *)
   let commit s =
-    let graph = Flat.to_graph s.f in
-    let repr =
-      IMap.map (fun r -> Flat.label s.f (root s (Flat.index s.f r))) s.base.repr
+    let members = Array.make (Flat.capacity s.f) [] in
+    let cid =
+      IMap.mapi
+        (fun v c ->
+          let r =
+            match IMap.find_opt c s.base.cls with Some k -> k.rep | None -> c
+          in
+          let i = root s (Flat.index s.f r) in
+          members.(i) <- v :: members.(i);
+          Flat.label s.f i)
+        s.base.cid
     in
-    let st = { graph; repr } in
+    let cls = ref IMap.empty in
+    Array.iteri
+      (fun i ms ->
+        match ms with
+        | _ :: _ :: _ ->
+            let rep = Flat.label s.f i in
+            cls := IMap.add rep { rep; size = List.length ms; members = ms } !cls
+        | [] | [ _ ] -> ())
+      members;
+    let st = { graph = Flat.to_graph s.f; cid; cls = !cls } in
     notify (Committed st) s;
     st
 
@@ -315,7 +369,7 @@ let check (p : Problem.t) s =
   let ( let* ) r k = match r with Ok () -> k () | Error _ as e -> e in
   (* Every original vertex tracked. *)
   let* () =
-    if List.for_all (fun v -> IMap.mem v st.repr) (Graph.vertices p.graph)
+    if List.for_all (fun v -> IMap.mem v st.cid) (Graph.vertices p.graph)
     then Ok ()
     else Error "merge state does not cover the problem graph"
   in

@@ -3,8 +3,11 @@
     Following Section 2.1, a coalescing of [G = (V, E)] is a function
     [f] with [f u <> f v] for every interference [(u, v)]; an affinity
     [(u, v)] is coalesced when [f u = f v].  We represent [f] by a
-    {!type:state}: the current merged graph together with the map from
-    original vertices to their representative in it. *)
+    {!type:state}: the current merged graph, a map from original
+    vertices to class ids, and, for each class of two or more vertices,
+    its representative (its vertex in the merged graph), size and
+    members.  States are persistent; a {!merge} costs the graph surgery
+    plus O(smaller class * log n). *)
 
 module Graph = Rc_graph.Graph
 
@@ -21,25 +24,27 @@ val graph : state -> Graph.t
 
 val merge : state -> Graph.vertex -> Graph.vertex -> state option
 (** [merge st u v] coalesces the classes of [u] and [v] (arguments may
-    be original vertices).  [None] when the classes interfere or are
-    equal — both make the coalescing invalid or pointless. *)
+    be original vertices); [find st u] stays the representative.  [None]
+    when the classes interfere or are equal — both make the coalescing
+    invalid or pointless.  Only the smaller class is relabelled, so over
+    any chain of merges each vertex is relabelled at most log2 n
+    times. *)
 
 val same_class : state -> Graph.vertex -> Graph.vertex -> bool
 
 val classes : state -> (Graph.vertex * Graph.vertex list) list
-(** Representative together with the original vertices it stands for. *)
+(** Representative together with the original vertices it stands for,
+    in increasing representative order, members ascending. *)
 
 val class_of : state -> Graph.vertex -> Graph.vertex list
-(** Original vertices merged into the class of the given vertex. *)
+(** Original vertices merged into the class of the given vertex,
+    ascending. *)
 
 val of_classes : Graph.t -> (Graph.vertex * Graph.vertex list) list -> state
 (** [of_classes g cls] builds the state realizing explicit classes over
     the vertices of [g]: each [(rep, members)] class is merged into
-    [rep]; vertices named by no class stay singletons.  Classes must be
-    disjoint and interference-free.  Linear in the size of [g] (one
-    flat mirror, one merge per non-representative member) — the
-    optimistic scheme uses this to realize the classes surviving
-    de-coalescing without a quadratic chain of persistent merges. *)
+    [rep]; vertices named by no class stay singletons.  Raises
+    [Invalid_argument] when the classes overlap or one interferes. *)
 
 (** {1 Speculation}
 
@@ -128,7 +133,9 @@ module Speculation : sig
       leaves. *)
 
   val replay : state -> (Graph.vertex * Graph.vertex) list -> state
-  (** Replays a merge log onto a persistent state. *)
+  (** Replays a merge log onto a persistent state.  Raises
+      [Invalid_argument] on an entry that does not apply to the state
+      (its endpoints are already one class, or interfere). *)
 
   val commit : spec -> state
   (** [replay base (merge_log spec)]: the persistent state realizing

@@ -135,9 +135,8 @@ let incremental (p : Problem.t) x y =
 (* Reference: the persistent-graph search, kept verbatim as the
    baseline for the differential test suite (test_search_equiv) and the
    old-vs-new benchmark trajectory (bench K1, BENCH_*.json).  Each
-   probe pays a full persistent [Graph.merge] plus an O(n) repr-map
-   rewrite; the flat path above replaces both with checkpointed
-   mutations.                                                          *)
+   probe pays a full persistent [Coalescing.merge]; the flat path above
+   replaces it with checkpointed mutations.                            *)
 (* ------------------------------------------------------------------ *)
 
 module Reference = struct

@@ -85,9 +85,9 @@ val incremental : Problem.t -> Rc_graph.Graph.vertex -> Rc_graph.Graph.vertex ->
 (** {1 Reference implementation}
 
     The pre-speculation code path on the persistent {!Coalescing.state}
-    representation (one [Graph.merge] plus an O(n) representative-map
-    rewrite per probe), kept as the baseline for the differential test
-    suite and the old-vs-new benchmark trajectory ([bench --json]). *)
+    representation (one {!Coalescing.merge} per probe), kept as the
+    baseline for the differential test suite and the old-vs-new
+    benchmark trajectory ([bench --json]). *)
 
 module Reference : sig
   val aggressive : Problem.t -> Coalescing.solution

@@ -3,23 +3,6 @@ module ISet = Graph.ISet
 module Flat = Rc_graph.Flat
 module Greedy_k = Rc_graph.Greedy_k
 
-(* Rebuild a merge state realizing the given classes (lists of original
-   vertices).  Members of one class never interfere, so merges succeed. *)
-let state_of_classes g classes =
-  List.fold_left
-    (fun st cls ->
-      match cls with
-      | [] | [ _ ] -> st
-      | first :: rest ->
-          List.fold_left
-            (fun st v ->
-              match Coalescing.merge st first v with
-              | Some st' -> st'
-              | None ->
-                  invalid_arg "Optimistic.state_of_classes: interfering class")
-            st rest)
-    (Coalescing.initial g) classes
-
 (* Total weight of affinities internal to a class. *)
 let internal_weight affinities members =
   let s = ISet.of_list members in
@@ -56,15 +39,14 @@ let pick_victim ~scoring ~affinities ~residue_degree merged_classes =
   victim
 
 (* De-coalescing on the flat kernel: one mirror of the base graph, and
-   per iteration a checkpointed replay of the surviving class merges —
-   O(merges + V + E) instead of a persistent-state rebuild (each
-   persistent merge costs an O(n) representative-map rewrite on top of
-   the O(log n) graph surgery).  The classes are carried explicitly;
-   the persistent state is realized exactly once, at the end.
+   per iteration a checkpointed replay of the surviving class merges
+   instead of a persistent-state rebuild.  The classes are carried
+   explicitly; the persistent state is realized exactly once, at the
+   end.
 
    Class bookkeeping mirrors the Reference path bit for bit: after
    every split the class representatives collapse to the smallest
-   member (as [state_of_classes] makes them) and the class list is
+   member (as the Reference rebuild picks them) and the class list is
    iterated in increasing representative order (as [Coalescing.classes]
    yields it), so victim scoring and tie-breaking agree. *)
 let decoalesce_greedy ?rows ?(scoring = Degree_per_weight) (p : Problem.t) st =
@@ -132,9 +114,9 @@ let decoalesce_greedy ?rows ?(scoring = Degree_per_weight) (p : Problem.t) st =
   (* No class was split: the input state is the answer, exactly as the
      persistent path returns it (skipping the rebuild also keeps the
      original representatives).  Otherwise realize the surviving
-     classes in one pass ([Coalescing.of_classes] — the carried
-     representatives are the smallest members, the same ones the
-     persistent rebuild would pick). *)
+     classes with [Coalescing.of_classes] — the carried representatives
+     are the smallest members, the same ones the persistent rebuild
+     picks. *)
   if !splits = 0 then st else Coalescing.of_classes p.graph classes
 
 let coalesce ?rows ?scoring ?incremental (p : Problem.t) =
@@ -189,14 +171,15 @@ module Reference = struct
                   ~residue_degree:(Graph.degree residue_graph)
                   merged_classes
               in
-              let classes =
-                List.concat_map
-                  (fun (r, members) ->
-                    if r = victim_repr then List.map (fun m -> [ m ]) members
-                    else [ members ])
-                  (Coalescing.classes st)
-              in
-              loop (state_of_classes p.graph classes))
+              (* Split the victim into singletons and re-root every
+                 other class at its smallest member. *)
+              List.filter_map
+                (fun (r, members) ->
+                  if r = victim_repr then None
+                  else Some (List.hd members, members))
+                (Coalescing.classes st)
+              |> Coalescing.of_classes p.graph
+              |> loop)
     in
     loop st
 

@@ -107,28 +107,33 @@ let union_components (p : Problem.t) =
   in
   Graph.connected_components union_graph
 
+(* One pass each: every vertex gets its component's index, affinities
+   are bucketed by the component of their first endpoint (input order
+   kept), and each part's graph is induced from its own vertices. *)
 let split_parts (p : Problem.t) =
-  union_components p
-  |> List.filter_map (fun comp ->
-         let affs =
-           List.filter
-             (fun (a : Problem.affinity) -> Graph.ISet.mem a.u comp)
-             p.affinities
-         in
-         if affs = [] then None
+  let comps = Array.of_list (union_components p) in
+  let comp_of = Hashtbl.create (Graph.num_vertices p.graph) in
+  Array.iteri
+    (fun i comp -> Graph.ISet.iter (fun v -> Hashtbl.replace comp_of v i) comp)
+    comps;
+  let buckets = Array.make (Array.length comps) [] in
+  List.iter
+    (fun (a : Problem.affinity) ->
+      let i = Hashtbl.find comp_of a.u in
+      buckets.(i) <- ((a.u, a.v), a.weight) :: buckets.(i))
+    (List.rev p.affinities);
+  Array.to_list comps
+  |> List.mapi (fun i comp -> (comp, buckets.(i)))
+  |> List.filter_map (fun (comp, affinities) ->
+         if affinities = [] then None
          else
            Some
-             (Problem.make
-                ~graph:(Graph.induced p.graph comp)
-                ~affinities:
-                  (List.map
-                     (fun (a : Problem.affinity) -> ((a.u, a.v), a.weight))
-                     affs)
+             (Problem.make ~graph:(Graph.induced p.graph comp) ~affinities
                 ~k:p.k))
 
 (* Recombine component solutions by replaying their coalesced pairs on
-   the original graph; components are disjoint, so every merge
-   succeeds. *)
+   the original graph.  Union components are disjoint, so every merge
+   applies; one that does not means the parts overlapped. *)
 let combine (p : Problem.t) (part_solutions : Coalescing.solution list) =
   let st =
     List.fold_left
@@ -139,7 +144,13 @@ let combine (p : Problem.t) (part_solutions : Coalescing.solution list) =
             else
               match Coalescing.merge st a.u a.v with
               | Some st' -> st'
-              | None -> assert false)
+              | None ->
+                  invalid_arg
+                    (Printf.sprintf
+                       "Portfolio.combine: coalesced affinity (%d, %d) \
+                        conflicts with another part's merges (union \
+                        components overlap)"
+                       a.u a.v))
           st sol.Coalescing.coalesced)
       (Coalescing.initial p.graph)
       part_solutions

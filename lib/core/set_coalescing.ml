@@ -314,8 +314,8 @@ let transitive_closure_affinities (p : Problem.t) =
 (* Reference: the persistent-graph set search, kept verbatim as the
    baseline for the differential test suite and the old-vs-new
    benchmark trajectory.  Every probed candidate set folds persistent
-   [Coalescing.merge]s (each an O(n) representative rewrite) and every
-   singleton pass rebuilds a fresh flat mirror of the current state.   *)
+   [Coalescing.merge]s and every singleton pass rebuilds a fresh flat
+   mirror of the current state.                                        *)
 (* ------------------------------------------------------------------ *)
 
 module Reference = struct

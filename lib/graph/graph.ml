@@ -124,13 +124,15 @@ let merge g u v =
   let g = remove_vertex g v in
   ISet.fold (fun w g -> add_edge g u w) nv g
 
+(* Walks [keep], not the whole graph: splitting a graph into many small
+   parts then costs the parts' sizes, not parts * |V|. *)
 let induced g keep =
-  IMap.fold
-    (fun v ns acc ->
-      if ISet.mem v keep then
-        IMap.add v (ISet.inter ns keep) acc
-      else acc)
-    g.adj IMap.empty
+  ISet.fold
+    (fun v acc ->
+      match IMap.find_opt v g.adj with
+      | Some ns -> IMap.add v (ISet.inter ns keep) acc
+      | None -> acc)
+    keep IMap.empty
   |> fun adj -> { adj }
 
 let map_vertices f g =

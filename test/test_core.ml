@@ -113,6 +113,26 @@ let test_merge_state () =
       (* transitive interference: 0's class now interferes with 3 *)
       check "inherited interference blocks" true (Coalescing.merge st 0 3 = None)
 
+(* A merge log that does not apply to its base is a typed error naming
+   the entry, not an assertion failure: an interfering pair, a pair
+   already in one class, and interference inherited through a merge. *)
+let test_replay_infeasible_log () =
+  let g = G.of_edges [ (0, 1); (2, 3) ] in
+  let base = Coalescing.initial g in
+  List.iter
+    (fun log ->
+      match Coalescing.Speculation.replay base log with
+      | _ -> Alcotest.fail "an infeasible merge log replayed"
+      | exception Invalid_argument m ->
+          check
+            (Printf.sprintf "replay error names the log: %s" m)
+            true
+            (String.starts_with ~prefix:"Coalescing.Speculation.replay" m))
+    [ [ (0, 1) ]; [ (0, 2); (2, 0) ]; [ (0, 2); (2, 1) ] ];
+  check "a feasible log still replays" true
+    (Coalescing.classes (Coalescing.Speculation.replay base [ (0, 2); (1, 3) ])
+    = [ (0, [ 0; 2 ]); (1, [ 1; 3 ]) ])
+
 let test_solution_classification () =
   let p = small_problem () in
   let st = Coalescing.initial p.graph in
@@ -712,6 +732,8 @@ let () =
       ( "coalescing",
         [
           Alcotest.test_case "merge state" `Quick test_merge_state;
+          Alcotest.test_case "infeasible replay is typed" `Quick
+            test_replay_infeasible_log;
           Alcotest.test_case "solution classification" `Quick
             test_solution_classification;
         ] );

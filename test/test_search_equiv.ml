@@ -7,7 +7,9 @@
    seeded random instances per algorithm through both paths and demands
    they agree on the removed-affinity weight, plus an independent
    brute-force oracle for the exact search so the suffix-weight pruning
-   bound can never silently over-prune. *)
+   bound can never silently over-prune.  The persistent merge state the
+   searches commit to is itself held to its test-only oracle
+   (coalescing_oracle.ml) step by step on seeded merge scripts. *)
 
 module G = Rc_graph.Graph
 module Greedy_k = Rc_graph.Greedy_k
@@ -246,6 +248,187 @@ let test_subsets_by_weight () =
   check_int "size 0" 1 (List.length (Set_coalescing.subsets_by_weight 0 affs));
   check_int "size > m" 0 (List.length (Set_coalescing.subsets_by_weight 6 affs))
 
+(* ------------------------------------------------------------------ *)
+(* Merge state vs the per-merge rewrite oracle                         *)
+(* ------------------------------------------------------------------ *)
+
+module Oracle = Coalescing_oracle
+
+(* Every observable of the class-local state must equal the oracle's. *)
+let assert_same_state ctx vs st o =
+  let fail what = Alcotest.failf "%s: %s differs from the oracle" ctx what in
+  if not (G.equal (Coalescing.graph st) (Oracle.graph o)) then
+    fail "merged graph";
+  if Coalescing.classes st <> Oracle.classes o then fail "classes";
+  Array.iter
+    (fun u ->
+      if Coalescing.find st u <> Oracle.find o u then
+        fail (Printf.sprintf "find %d" u);
+      if Coalescing.class_of st u <> Oracle.class_of o u then
+        fail (Printf.sprintf "class_of %d" u);
+      Array.iter
+        (fun v ->
+          if Coalescing.same_class st u v <> Oracle.same_class o u v then
+            fail (Printf.sprintf "same_class %d %d" u v))
+        vs)
+    vs
+
+(* The next pair of a merge script, drawn so every outcome shows up:
+   fresh singletons absorbing (or absorbed by) one growing class, pairs
+   already in one class, interfering pairs (an original edge, or an
+   inherited one through the merged graph), and arbitrary pairs. *)
+let script_pair rng g o vs grow =
+  let n = Array.length vs in
+  let any () = vs.(Random.State.int rng n) in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let singleton () =
+    let start = Random.State.int rng n in
+    let rec go i =
+      if i = n then any ()
+      else
+        let v = vs.((start + i) mod n) in
+        if Oracle.class_of o v = [ v ] then v else go (i + 1)
+    in
+    go 0
+  in
+  match Random.State.int rng 7 with
+  | 0 | 1 -> (singleton (), grow)
+  | 2 -> (grow, singleton ())
+  | 3 ->
+      let u = any () in
+      (u, pick (Oracle.class_of o u))
+  | 4 -> ( match G.edges g with [] -> (any (), any ()) | es -> pick es)
+  | 5 -> (
+      let u = any () in
+      let og = Oracle.graph o in
+      match G.ISet.elements (G.neighbors og (Oracle.find o u)) with
+      | [] -> (u, any ())
+      | ns -> (u, pick (Oracle.class_of o (pick ns))))
+  | _ -> (any (), any ())
+
+let pick_history rng h = List.nth h (Random.State.int rng (List.length h))
+
+let test_coalescing_vs_oracle () =
+  (* Outcome tallies over all seeds: accepted, refused as one class,
+     refused for interference, and a fresh singleton absorbing a class
+     of two or more.  Each must actually occur. *)
+  let accepted = ref 0 and same = ref 0 and interfering = ref 0
+  and absorbed = ref 0 in
+  run_seeds ~name:"coalescing_vs_oracle" ~count:200 (fun seed ->
+    let rng = Random.State.make [| seed; 0xc1a5 |] in
+    let n = 6 + Random.State.int rng 20 in
+    let g =
+      match seed mod 4 with
+      | 0 -> Generators.random_chordal rng ~n ~extra:(n / 4)
+      | 1 -> Generators.gnp rng ~n ~p:0.
+      | 2 -> Generators.gnp rng ~n ~p:0.06
+      | _ -> Generators.gnp rng ~n ~p:0.2
+    in
+    let vs = Array.of_list (G.vertices g) in
+    let grow = vs.(Random.State.int rng (Array.length vs)) in
+    let ctx step = Printf.sprintf "seed %d, step %d" seed step in
+    let st0 = Coalescing.initial g and o0 = Oracle.initial g in
+    assert_same_state (ctx 0) vs st0 o0;
+    (* Every state reached stays live: persistence means jumping back to
+       an older one must find it untouched. *)
+    let history = ref [ (st0, o0) ] in
+    let st = ref st0 and o = ref o0 in
+    for step = 1 to 3 * Array.length vs do
+      if Random.State.int rng 10 = 0 then begin
+        let st', o' = pick_history rng !history in
+        st := st';
+        o := o'
+      end;
+      if Random.State.int rng 8 = 0 then begin
+        (* A speculative burst on a flat mirror, realized by [commit]:
+           later persistent merges continue from the committed state. *)
+        let spec = Coalescing.Speculation.of_state !st in
+        for _ = 0 to Random.State.int rng 3 do
+          let u, v = script_pair rng g !o vs grow in
+          match (Coalescing.Speculation.merge spec u v, Oracle.merge !o u v) with
+          | true, Some o' -> o := o'
+          | false, None -> ()
+          | true, None | false, Some _ ->
+              Alcotest.failf
+                "%s: speculative merge %d %d acceptance differs from the \
+                 oracle"
+                (ctx step) u v
+        done;
+        st := Coalescing.Speculation.commit spec;
+        history := (!st, !o) :: !history
+      end
+      else begin
+        let u, v = script_pair rng g !o vs grow in
+        match (Coalescing.merge !st u v, Oracle.merge !o u v) with
+        | Some st', Some o' ->
+            incr accepted;
+            if
+              Oracle.class_of !o u = [ u ]
+              && List.length (Oracle.class_of !o v) >= 2
+            then incr absorbed;
+            st := st';
+            o := o';
+            history := (st', o') :: !history
+        | None, None ->
+            if Oracle.same_class !o u v then incr same else incr interfering
+        | Some _, None | None, Some _ ->
+            Alcotest.failf "%s: merge %d %d acceptance differs from the oracle"
+              (ctx step) u v
+      end;
+      assert_same_state (ctx step) vs !st !o
+    done;
+    (* [of_classes] rebuilds the same state from its classes. *)
+    let rebuilt = Coalescing.of_classes g (Coalescing.classes !st) in
+    assert_same_state (Printf.sprintf "seed %d, of_classes" seed) vs rebuilt !o;
+    check
+      (Printf.sprintf "unknown vertex is a typed error (seed %d)" seed)
+      true
+      (match Coalescing.find !st (G.max_vertex g + 1) with
+      | _ -> false
+      | exception Invalid_argument _ -> true));
+  Printf.printf "merge outcomes: %d accepted (%d absorbing), %d same class, \
+                 %d interfering\n"
+    !accepted !absorbed !same !interfering;
+  check "every merge outcome exercised" true
+    (!absorbed >= 200 && !same >= 200 && !interfering >= 200)
+
+(* Allocation regression for class-local merges: on an edgeless graph,
+   each fresh singleton absorbs the growing class (its representative
+   survives; the big class keeps its id).  Relabelling the smaller
+   class and prepending its member list keeps the chain at O(n log n)
+   words; rewriting every vertex's representative, or copying the big
+   member list, makes it quadratic (~16x when n quadruples).  Each size
+   is measured from an empty minor heap, minimum of three trials, as in
+   test_challenge's streaming test. *)
+let chain_alloc_words ~n =
+  let g = List.fold_left G.add_vertex G.empty (List.init n Fun.id) in
+  let st0 = Coalescing.initial g in
+  let best = ref infinity in
+  for _ = 1 to 3 do
+    Gc.minor ();
+    let before = Gc.allocated_bytes () in
+    let st = ref st0 in
+    for v = 1 to n - 1 do
+      match Coalescing.merge !st v 0 with
+      | Some s -> st := s
+      | None -> Alcotest.failf "chain merge %d refused" v
+    done;
+    let after = Gc.allocated_bytes () in
+    check_int "chain ends on the last fresh vertex" (n - 1)
+      (Coalescing.find !st 0);
+    best := Float.min !best ((after -. before) /. float_of_int (Sys.word_size / 8))
+  done;
+  !best
+
+let test_merge_chain_allocation () =
+  let w2 = chain_alloc_words ~n:2_000 in
+  let w8 = chain_alloc_words ~n:8_000 in
+  let ratio = w8 /. w2 in
+  check
+    (Printf.sprintf "chain allocation ratio %.2f (%.0f -> %.0f words) under 6x"
+       ratio w2 w8)
+    true (ratio < 6.0)
+
 let () =
   Alcotest.run "rc_search_equiv"
     [
@@ -264,6 +447,13 @@ let () =
             test_exact_k_colorable_differential;
           Alcotest.test_case "brute-force optimality oracle" `Quick
             test_exact_oracle;
+        ] );
+      ( "coalescing",
+        [
+          Alcotest.test_case "merge state = rewrite oracle (200 seeds)" `Quick
+            test_coalescing_vs_oracle;
+          Alcotest.test_case "merge chain allocates n log n" `Quick
+            test_merge_chain_allocation;
         ] );
       ( "set_coalescing",
         [
