@@ -19,7 +19,7 @@ module G = Rc_graph.Graph
 let quick = Array.exists (( = ) "quick") Sys.argv
 
 (* [--json FILE] writes the timing trajectory (every ns/run estimate
-   plus the derived old-vs-new speedups) as a JSON document. *)
+   plus the derived ratios) as a JSON document. *)
 let json_file =
   let r = ref None in
   Array.iteri
@@ -99,206 +99,13 @@ let report_speedup rows ~what ~old_label ~new_label =
   | _ -> Format.printf "  speedup %-39s (no estimate)@." what
 
 (* ------------------------------------------------------------------ *)
-(* K0: flat kernel vs the persistent-map code paths                    *)
-(* ------------------------------------------------------------------ *)
-
-let k0_flat_kernels () =
-  section
-    "K0 | flat kernel vs persistent-map kernels (old vs new code path)";
-  let rng = Random.State.make [| 2007 |] in
-  let g = Rc_graph.Generators.gnp rng ~n:2000 ~p:0.01 in
-  let f = Rc_graph.Flat.of_graph g in
-  (* k = col(G): the elimination scheme then empties the graph, which is
-     the most work either path can do. *)
-  let k = Rc_graph.Greedy_k.coloring_number g in
-  Format.printf "gnp ~n:2000 ~p:0.01: %d vertices, %d edges, col(G) = %d@."
-    (G.num_vertices g) (G.num_edges g) k;
-  let rows =
-    run_bench ~name:"K0 kernels"
-      [
-        Test.make ~name:"greedy-k/old-imap"
-          (Staged.stage (fun () ->
-               Rc_graph.Greedy_k.Reference.is_greedy_k_colorable g k));
-        Test.make ~name:"greedy-k/new-flat+convert"
-          (Staged.stage (fun () ->
-               Rc_graph.Greedy_k.is_greedy_k_colorable g k));
-        Test.make ~name:"greedy-k/new-flat-kernel"
-          (Staged.stage (fun () ->
-               Rc_graph.Greedy_k.flat_is_greedy_k_colorable f k));
-        Test.make ~name:"smallest-last/old-imap"
-          (Staged.stage (fun () ->
-               Rc_graph.Greedy_k.Reference.smallest_last_order g));
-        Test.make ~name:"smallest-last/new-flat"
-          (Staged.stage (fun () -> Rc_graph.Greedy_k.smallest_last_order g));
-        Test.make ~name:"chordality/old-hashtbl"
-          (Staged.stage (fun () -> Rc_graph.Chordal.Reference.is_chordal g));
-        Test.make ~name:"chordality/new-flat"
-          (Staged.stage (fun () -> Rc_graph.Chordal.is_chordal g));
-      ]
-  in
-  Format.printf "@.";
-  report_speedup rows ~what:"greedy-k elimination (flat vs imap)"
-    ~old_label:"greedy-k/old-imap" ~new_label:"greedy-k/new-flat-kernel";
-  report_speedup rows ~what:"greedy-k end-to-end (incl. of_graph)"
-    ~old_label:"greedy-k/old-imap" ~new_label:"greedy-k/new-flat+convert";
-  report_speedup rows ~what:"smallest-last" ~old_label:"smallest-last/old-imap"
-    ~new_label:"smallest-last/new-flat";
-  report_speedup rows ~what:"chordality (MCS + PEO check)"
-    ~old_label:"chordality/old-hashtbl" ~new_label:"chordality/new-flat"
-
-(* ------------------------------------------------------------------ *)
-(* K1: merge-heavy searches on the speculation context vs the          *)
-(* persistent-graph Reference paths                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* Each search is timed on the workload its speculation is for — an
-   instance that actually forces merge-heavy exploration.  (On
-   instances where the search terminates after one colorability check,
-   both code paths degenerate to that check and the ratio is ~1.)
-
-   - exact: a sparse random graph at tight k = col(G), where merges
-     frequently break greedy-k-colorability, so the branch-and-bound
-     explores deep with a leaf test per branch;
-   - optimistic: a Theorem 6 vertex-cover gadget, built so that
-     aggressive coalescing always breaks greedy-4-colorability and the
-     de-coalescing loop must split one class per uncovered vertex;
-   - set-2: disjoint copies of the Figure 3 (right) gadget — singleton
-     coalescing is stuck by construction, so the whole search happens
-     in the size-2 set probes.  The weights are graded so the heavy
-     halves of distinct copies pair up first in the by-weight
-     enumeration: all those probes fail, which is exactly the
-     merge-speculate-rollback traffic the set search generates on
-     instances needing simultaneous coalescing. *)
-
-let k1_exact_instance () =
-  let rng = Random.State.make [| 1; 888 |] in
-  let g = Rc_graph.Generators.gnp rng ~n:80 ~p:0.06 in
-  let k = max 2 (Rc_graph.Greedy_k.coloring_number g) in
-  let vs = Array.of_list (G.vertices g) in
-  let nv = Array.length vs in
-  let affinities = ref [] in
-  let attempts = ref 0 in
-  while List.length !affinities < 13 && !attempts < 780 do
-    incr attempts;
-    let u = vs.(Random.State.int rng nv) and v = vs.(Random.State.int rng nv) in
-    if u <> v && not (G.mem_edge g u v) then
-      affinities := ((u, v), 1 + Random.State.int rng 9) :: !affinities
-  done;
-  Rc_core.Problem.make ~graph:g ~affinities:!affinities ~k
-
-let k1_optimistic_instance () =
-  let rng = Random.State.make [| 77 |] in
-  let src =
-    Rc_graph.Generators.random_bounded_degree rng ~n:16 ~max_degree:3 ~edges:20
-  in
-  (Rc_reductions.Thm6_optimistic.build src).problem
-
-let k1_set_instance () =
-  let base = Rc_reductions.Figures.fig3_pairwise () in
-  let copies = 12 in
-  let g = ref G.empty in
-  let affs = ref [] in
-  for c = 0 to copies - 1 do
-    let off = c * 7 in
-    G.fold_edges (fun u v () -> g := G.add_edge !g (u + off) (v + off))
-      base.graph ();
-    List.iteri
-      (fun i (a : Rc_core.Problem.affinity) ->
-        let w = if i = 0 then 10 + c else 1 in
-        affs := ((a.u + off, a.v + off), w) :: !affs)
-      base.affinities
-  done;
-  Rc_core.Problem.make ~graph:!g ~affinities:!affs ~k:3
-
-let k1_search_drivers () =
-  section
-    "K1 | merge-heavy searches: speculation context vs persistent rebuilds";
-  let p_exact = k1_exact_instance () in
-  let p_opt = k1_optimistic_instance () in
-  let p_set = k1_set_instance () in
-  Format.printf "exact (sparse gnp):     %s@." (Rc_core.Problem.stats p_exact);
-  Format.printf "optimistic (thm6):      %s@." (Rc_core.Problem.stats p_opt);
-  Format.printf "set-2 (fig3b x12):      %s@." (Rc_core.Problem.stats p_set);
-  let rows =
-    run_bench ~name:"K1 searches"
-      [
-        Test.make ~name:"exact/old-persistent"
-          (Staged.stage (fun () -> Rc_core.Exact.Reference.conservative p_exact));
-        Test.make ~name:"exact/new-flat"
-          (Staged.stage (fun () -> Rc_core.Exact.conservative p_exact));
-        Test.make ~name:"optimistic/old-persistent"
-          (Staged.stage (fun () -> Rc_core.Optimistic.Reference.coalesce p_opt));
-        Test.make ~name:"optimistic/new-flat"
-          (Staged.stage (fun () -> Rc_core.Optimistic.coalesce p_opt));
-        Test.make ~name:"set-2/old-persistent"
-          (Staged.stage (fun () ->
-               Rc_core.Set_coalescing.Reference.coalesce ~max_set:2 p_set));
-        Test.make ~name:"set-2/new-flat"
-          (Staged.stage (fun () ->
-               Rc_core.Set_coalescing.coalesce ~max_set:2 p_set));
-      ]
-  in
-  Format.printf "@.";
-  report_speedup rows ~what:"exact branch-and-bound"
-    ~old_label:"exact/old-persistent" ~new_label:"exact/new-flat";
-  report_speedup rows ~what:"optimistic coalescing"
-    ~old_label:"optimistic/old-persistent" ~new_label:"optimistic/new-flat";
-  report_speedup rows ~what:"set coalescing (max_set = 2)"
-    ~old_label:"set-2/old-persistent" ~new_label:"set-2/new-flat"
-
-(* ------------------------------------------------------------------ *)
-(* K2: release-profile cost of certifying a coalescing answer          *)
-(* ------------------------------------------------------------------ *)
-
-(* The Rc_check.Certify layer re-derives everything (quotient graph,
-   affinity split, removed weight, greedy-k-colorability of the merged
-   graph) from the Problem and the answer, on the persistent Reference
-   kernels.  This section measures that price in the release profile:
-   solve alone, solve + certify, and certify alone, on the K1 exact
-   instance — the overhead ratio (solve+certify / solve) is the number
-   quoted in DESIGN.md for running every search under certification. *)
-
-let k2_certification () =
-  section "K2 | result certification overhead (release profile)";
-  let p = k1_exact_instance () in
-  Format.printf "instance: %s@." (Rc_core.Problem.stats p);
-  let solve () = Rc_core.Conservative.coalesce Rc_core.Conservative.Brute_force p in
-  let sol = solve () in
-  let answer = Rc_check.Certify.answer_of_solution sol in
-  let claims = [ Rc_check.Certify.Conservative ] in
-  (if not (Rc_check.Certify.ok (Rc_check.Certify.certify ~claims p answer))
-   then failwith "K2: baseline answer failed certification");
-  let rows =
-    run_bench ~name:"K2 certify"
-      [
-        Test.make ~name:"conservative/solve"
-          (Staged.stage (fun () -> solve ()));
-        Test.make ~name:"conservative/solve+certify"
-          (Staged.stage (fun () ->
-               Rc_check.Certify.certify_solution ~claims p (solve ())));
-        Test.make ~name:"certify-only"
-          (Staged.stage (fun () -> Rc_check.Certify.certify ~claims p answer));
-      ]
-  in
-  Format.printf "@.";
-  (match
-     (find_row rows "conservative/solve+certify", find_row rows "conservative/solve")
-   with
-  | Some (_, with_ns), Some (_, solve_ns) when solve_ns > 0. ->
-      let ratio = with_ns /. solve_ns in
-      Format.printf "  certification overhead (solve+certify / solve) %8.2fx@."
-        ratio;
-      derived := !derived @ [ ("overhead:certification", ratio) ]
-  | _ -> Format.printf "  certification overhead (no estimate)@.")
-
-(* ------------------------------------------------------------------ *)
 (* K3: bitset rows vs int rows, density sweep at challenge scale       *)
 (* ------------------------------------------------------------------ *)
 
 (* PR 4 made Flat's row representation adaptive.  This section holds
    the same seeded Batagelj–Brandes G(n, p) edge stream in one kernel
-   per row policy — int rows, the PR 1 global bitmatrix, the adaptive
-   default, and forced bitsets — and times the three workload shapes
+   per row policy — int rows, the adaptive default, and forced
+   bitsets — and times the three workload shapes
    the kernels serve, across a density sweep at n = 10^4:
 
    - greedy-k elimination at k = maxdeg + 1 (full elimination; pure
@@ -315,7 +122,6 @@ let k2_certification () =
 let k3_row_modes =
   [
     ("sparse-rows", Rc_graph.Flat.Sparse_rows);
-    ("matrix", Rc_graph.Flat.Matrix);
     ("auto", Rc_graph.Flat.Auto);
     ("bitset-rows", Rc_graph.Flat.Bitset_rows);
   ]
@@ -415,65 +221,6 @@ let k3_bitset_density () =
     densities
 
 (* ------------------------------------------------------------------ *)
-(* K4: the domain-pool sweep engine, sequential vs parallel            *)
-(* ------------------------------------------------------------------ *)
-
-(* A sweep is a seconds-long batch, so it is timed directly (monotonic
-   clock, one run per configuration) rather than through bechamel's
-   per-run estimator.  The section both measures the pool's wall-time
-   effect and asserts the engine's determinism contract: the canonical
-   report must be byte-identical at 1 and N domains.  On a single-core
-   host the speedup is ~1x (or slightly below: the pool adds one
-   condition-variable round-trip per chunk); the row records whatever
-   this box actually does. *)
-
-let k4_parallel_sweep () =
-  section "K4 | domain-pool sweep engine: sequential vs parallel wall time";
-  let preset =
-    match Rc_engine.Sweep.preset_of_string "smoke" with
-    | Ok p -> p
-    | Error m -> failwith m
-  in
-  let domains = max 2 (Rc_engine.Pool.recommended_domains ()) in
-  let seq = Rc_engine.Sweep.run ~domains:1 ~seed:2026 preset in
-  let par = Rc_engine.Sweep.run ~domains ~seed:2026 preset in
-  if Rc_engine.Sweep.canonical seq <> Rc_engine.Sweep.canonical par then
-    failwith "K4: canonical sweep reports differ across domain counts";
-  Format.printf
-    "preset %s (%s) x %d instances: canonical reports identical at 1 and %d \
-     domains@."
-    preset.Rc_engine.Sweep.sname
-    (match preset.Rc_engine.Sweep.sources with
-    | Rc_engine.Sweep.Synthetic { n; _ } :: _ ->
-        Printf.sprintf "synthetic n=%d" n
-    | Rc_engine.Sweep.Ssa { k } :: _ -> Printf.sprintf "ssa k=%d" k
-    | Rc_engine.Sweep.Clustered { gadgets; size; _ } :: _ ->
-        Printf.sprintf "clustered %dx%d" gadgets size
-    | [] -> "empty")
-    (Rc_engine.Sweep.n_instances preset)
-    domains;
-  Format.printf "  sweep wall, 1 domain   %10.3f s@."
-    seq.Rc_engine.Sweep.wall_s;
-  Format.printf "  sweep wall, %d domains %10.3f s@." domains
-    par.Rc_engine.Sweep.wall_s;
-  all_rows :=
-    !all_rows
-    @ [
-        ("k4/sweep-wall/1-domain", seq.Rc_engine.Sweep.wall_s *. 1e9);
-        ( Printf.sprintf "k4/sweep-wall/%d-domains" domains,
-          par.Rc_engine.Sweep.wall_s *. 1e9 );
-      ];
-  if par.Rc_engine.Sweep.wall_s > 0. then begin
-    let ratio = seq.Rc_engine.Sweep.wall_s /. par.Rc_engine.Sweep.wall_s in
-    Format.printf "  speedup %-39s %11.2fx@."
-      (Printf.sprintf "parallel sweep (%d domains)" domains)
-      ratio;
-    derived :=
-      !derived
-      @ [ (Printf.sprintf "speedup:parallel sweep (%d domains)" domains, ratio) ]
-  end
-
-(* ------------------------------------------------------------------ *)
 (* K5: incremental rule engine vs rescan fixpoint                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -481,12 +228,14 @@ let k4_parallel_sweep () =
    worklist engine: degree-bucketed dirtiness, per-affinity verdict
    stamps with invalidate-on-merge, residue witnesses for brute-force
    rejections, and the incremental elimination order answering the
-   brute probes.  Both paths produce the identical merge trajectory
-   (locked by test_incremental); this section measures what the
+   brute probes.  Both produce the identical merge trajectory (locked
+   by test_incremental against the rescan loop, which survives as the
+   test-only oracle Rc_oracle.Rescan); this section measures what the
    equivalence costs, on the challenge synthetic family the 10^5 sweep
    runs: the george-family stamped rules (Briggs+George probe batches)
    and the brute-force rule whose per-probe full eliminations used to
-   cap the sweep.  Seconds-long batches, timed directly like K4.  The
+   cap the sweep.  Seconds-long batches, timed directly on the
+   monotonic clock, one run each.  The
    cache counters are printed so a hit-starved run (a regression in the
    invalidation granularity) is visible, not just slow. *)
 
@@ -530,11 +279,8 @@ let k5_incremental_engine () =
       in
       let rescan_weight, t_res =
         time (fun () ->
-            let sol =
-              Rc_core.Conservative.coalesce ~incremental:false rule p
-            in
             Rc_core.Coalescing.coalesced_weight
-              (Rc_core.Coalescing.solution_of_state p sol.Rc_core.Coalescing.state))
+              (Rc_oracle.Rescan.conservative rule p))
       in
       if inc_weight <> rescan_weight then
         failwith
@@ -648,166 +394,6 @@ let k5_incremental_engine () =
     cells
 
 (* ------------------------------------------------------------------ *)
-(* K6: binary instance format + the coalescing server                  *)
-(* ------------------------------------------------------------------ *)
-
-(* PR 7 added the compact binary instance format (Instance_io "RCBI")
-   and the batched coalescing server.  This section measures both
-   halves of that stack:
-
-   - decode paths at challenge scale (10^5 vertices): the text-grammar
-     parser, the binary decoder into a persistent Problem, and the
-     zero-copy view -> flat-kernel stream that skips the persistent
-     graph entirely — the binary rows must beat the text parse;
-   - a live server over a Unix socket: instances/sec with a saturating
-     batch of distinct instances (the pool's solve fan-out), then the
-     same batch resubmitted — every answer a cache hit — for the
-     cached-answer latency.  Seconds-long wall measurements, timed
-     directly like K4/K5. *)
-
-let k6_time reps f =
-  (* Median-free min-of-reps: these are ms..s-scale one-shot costs.
-     The major slice before each rep keeps garbage left over from the
-     earlier sections (and prior reps) from being charged to whichever
-     decode path happens to allocate next. *)
-  let best = ref infinity in
-  for _ = 1 to reps do
-    Gc.major ();
-    let t0 = Rc_core.Mclock.now_ns () in
-    ignore (Sys.opaque_identity (f ()));
-    let dt = Rc_core.Mclock.elapsed_s t0 in
-    if dt < !best then best := dt
-  done;
-  !best
-
-let k6_serving () =
-  section "K6 | binary instance format + coalescing-as-a-service";
-  let module Io = Rc_challenge.Instance_io in
-  let module Server = Rc_engine.Server in
-  (* -- decode paths at 10^5 vertices -------------------------------- *)
-  let n = if quick then 20_000 else 100_000 in
-  let { Rc_challenge.Challenge.problem = big; _ } =
-    Rc_challenge.Challenge.synthetic ~seed:2026 ~n ~maxlive:12
-      ~affinity_fraction:0.3 ()
-  in
-  let text = Io.print big in
-  let bin = Io.to_binary big in
-  Format.printf "instance: %s@." (Rc_core.Problem.stats big);
-  Format.printf "encoded:  text %d bytes, binary %d bytes (%.2fx smaller)@."
-    (String.length text) (String.length bin)
-    (float_of_int (String.length text) /. float_of_int (String.length bin));
-  let reps = if quick then 3 else 5 in
-  let t_parse =
-    k6_time reps (fun () ->
-        match Io.parse text with Ok p -> p | Error m -> failwith m)
-  in
-  let t_binary =
-    k6_time reps (fun () ->
-        match Io.of_binary bin with
-        | Ok p -> p
-        | Error e -> failwith (Io.bin_error_to_string e))
-  in
-  let t_view_flat =
-    k6_time reps (fun () ->
-        match Io.view_of_binary bin with
-        | Ok v -> Io.view_flat v
-        | Error e -> failwith (Io.bin_error_to_string e))
-  in
-  Format.printf
-    "decode (n=%d): text parse %8.3f s, binary %8.3f s, view->flat %8.3f s@."
-    n t_parse t_binary t_view_flat;
-  all_rows :=
-    !all_rows
-    @ [
-        (Printf.sprintf "k6/decode-text/n=%d" n, t_parse *. 1e9);
-        (Printf.sprintf "k6/decode-binary/n=%d" n, t_binary *. 1e9);
-        (Printf.sprintf "k6/decode-view-flat/n=%d" n, t_view_flat *. 1e9);
-      ];
-  if t_binary > 0. then begin
-    let ratio = t_parse /. t_binary in
-    Format.printf "  speedup %-39s %11.1fx@." "binary decode vs text parse"
-      ratio;
-    derived := !derived @ [ ("speedup:k6 binary decode vs text parse", ratio) ]
-  end;
-  if t_view_flat > 0. then begin
-    let ratio = t_parse /. t_view_flat in
-    Format.printf "  speedup %-39s %11.1fx@."
-      "zero-copy view->flat vs text parse" ratio;
-    derived :=
-      !derived @ [ ("speedup:k6 view->flat vs text parse", ratio) ]
-  end;
-  (* -- a live server over a Unix socket ----------------------------- *)
-  let domains = max 2 (Rc_engine.Pool.recommended_domains ()) in
-  let batch = if quick then 16 else 48 in
-  let instances =
-    List.init batch (fun i ->
-        let inst = Rc_challenge.Challenge.generate ~seed:(3000 + i) ~k:6 () in
-        Io.to_binary inst.Rc_challenge.Challenge.problem)
-  in
-  let path = Filename.concat (Filename.get_temp_dir_name ()) "rc_bench_k6.sock" in
-  let config = { Server.default_config with domains } in
-  Server.with_server ~config (fun t ->
-      let server = Domain.spawn (fun () -> Server.serve_unix t ~path) in
-      let fd = Server.Client.connect path in
-      let send_batch () =
-        List.iter
-          (fun b -> Server.Client.send_solve fd ~encoding:`Binary b)
-          instances;
-        Server.Client.send_flush fd;
-        let hits = ref 0 in
-        for _ = 1 to batch do
-          match Server.Client.recv fd with
-          | Server.Client.Resp (Server.Client.Answer { cache_hit; _ }) ->
-              if cache_hit then incr hits
-          | Server.Client.Resp _ | Server.Client.Eof ->
-              failwith "K6: expected an ANSWER frame"
-        done;
-        !hits
-      in
-      let t0 = Rc_core.Mclock.now_ns () in
-      let hits_cold = send_batch () in
-      let t_cold = Rc_core.Mclock.elapsed_s t0 in
-      let t0 = Rc_core.Mclock.now_ns () in
-      let hits_warm = send_batch () in
-      let t_warm = Rc_core.Mclock.elapsed_s t0 in
-      Server.Client.send_shutdown fd;
-      (match Server.Client.recv fd with
-      | Server.Client.Resp Server.Client.Bye -> ()
-      | _ -> failwith "K6: expected BYE");
-      Server.Client.close fd;
-      Domain.join server;
-      if hits_cold <> 0 then failwith "K6: cold batch hit the cache";
-      if hits_warm <> batch then failwith "K6: warm batch missed the cache";
-      let cold_rate = float_of_int batch /. t_cold in
-      let warm_latency_us = t_warm /. float_of_int batch *. 1e6 in
-      Format.printf
-        "server (%d domains): %d distinct instances in %8.3f s  (%.1f \
-         instances/s at saturation)@."
-        domains batch t_cold cold_rate;
-      Format.printf
-        "  resubmitted batch: %8.3f s, all %d answers from the cache  (%.1f \
-         us/answer round trip)@."
-        t_warm batch warm_latency_us;
-      all_rows :=
-        !all_rows
-        @ [
-            (Printf.sprintf "k6/serve-cold-batch/%d" batch, t_cold *. 1e9);
-            (Printf.sprintf "k6/serve-warm-batch/%d" batch, t_warm *. 1e9);
-          ];
-      derived :=
-        !derived
-        @ [
-            ("k6:server instances/s at saturation", cold_rate);
-            ("k6:cache-hit round trip (us)", warm_latency_us);
-          ];
-      if t_warm > 0. then begin
-        let ratio = t_cold /. t_warm in
-        Format.printf "  speedup %-39s %11.1fx@." "answer cache (warm vs cold)"
-          ratio;
-        derived := !derived @ [ ("speedup:k6 answer cache", ratio) ]
-      end)
-
-(* ------------------------------------------------------------------ *)
 (* K7: static analyzer — profile cost, presolve shrink, primed exact   *)
 (* ------------------------------------------------------------------ *)
 
@@ -829,6 +415,21 @@ let k6_serving () =
      close, so the harness reports that bound honestly instead of
      faking a number. *)
 
+(* One-shot timing for ms..s-scale costs: the best of [reps] runs.
+   The major slice before each rep keeps garbage left over from the
+   earlier sections (and prior reps) from being charged to whichever
+   path happens to allocate next. *)
+let k7_time reps f =
+  let best = ref infinity in
+  for _ = 1 to reps do
+    Gc.major ();
+    let t0 = Rc_core.Mclock.now_ns () in
+    ignore (Sys.opaque_identity (f ()));
+    let dt = Rc_core.Mclock.elapsed_s t0 in
+    if dt < !best then best := dt
+  done;
+  !best
+
 let k7_static_analysis () =
   section "K7 | static analyzer: profile cost, presolve shrink, primed exact";
   let module Profile = Rc_analysis.Profile in
@@ -845,8 +446,8 @@ let k7_static_analysis () =
           Rc_challenge.Challenge.synthetic ~seed:(2026 + n) ~n ~maxlive:12
             ~affinity_fraction:0.3 ()
         in
-        let t_profile = k6_time reps (fun () -> Profile.analyze problem) in
-        let t_presolve = k6_time reps (fun () -> Presolve.run problem) in
+        let t_profile = k7_time reps (fun () -> Profile.analyze problem) in
+        let t_presolve = k7_time reps (fun () -> Presolve.run problem) in
         let plan = Presolve.run problem in
         let st = Presolve.stats plan in
         let shrink = Presolve.shrink plan in
@@ -993,195 +594,6 @@ let k7_static_analysis () =
           ])
     (if quick then [ (1, 14); (3, 16) ]
      else [ (1, 14); (3, 16); (3, 18) ])
-
-(* ------------------------------------------------------------------ *)
-(* K8: concurrent serving — many client domains, one shared pool       *)
-(* ------------------------------------------------------------------ *)
-
-(* PR 9 made the server concurrent: a listener domain, one session
-   domain per accepted connection, one shared pool behind a submission
-   mutex.  This section measures what that buys on the wire: aggregate
-   warm-cache throughput of 4 interactive client domains against the
-   same request volume arriving from one sequential client.  The
-   clients are interactive — one SOLVE/FLUSH/ANSWER round trip at a
-   time with a small think time between requests, the load a
-   concurrent server exists for.  A sequential server pays every
-   client's think time end to end; concurrent sessions overlap them,
-   so the aggregate rate must come out ahead even on a single core
-   (the think-time gaps are slept, not computed). *)
-
-let k8_concurrent_serving () =
-  section "K8 | concurrent serving: 4 client domains vs 1, warm cache";
-  let module Io = Rc_challenge.Instance_io in
-  let module Server = Rc_engine.Server in
-  let clients = 4 in
-  let batch = if quick then 8 else 16 in
-  let rounds = if quick then 3 else 8 in
-  let think = 0.002 in
-  let instances =
-    List.init batch (fun i ->
-        let inst = Rc_challenge.Challenge.generate ~seed:(8000 + i) ~k:6 () in
-        Io.to_binary inst.Rc_challenge.Challenge.problem)
-  in
-  let path =
-    Filename.concat (Filename.get_temp_dir_name ()) "rc_bench_k8.sock"
-  in
-  let domains = max 2 (Rc_engine.Pool.recommended_domains ()) in
-  let config =
-    { Server.default_config with domains; max_conns = clients + 4 }
-  in
-  Server.with_server ~config (fun t ->
-      let server = Domain.spawn (fun () -> Server.serve_unix t ~path) in
-      (* One SOLVE at a time: every answer is a full round trip, with
-         think time ahead of it. *)
-      let run_rounds ?(pause = 0.) fd n =
-        for _ = 1 to n do
-          List.iter
-            (fun b ->
-              if pause > 0. then Unix.sleepf pause;
-              Server.Client.send_solve fd ~encoding:`Binary b;
-              Server.Client.send_flush fd;
-              match Server.Client.recv fd with
-              | Server.Client.Resp (Server.Client.Answer _) -> ()
-              | Server.Client.Resp _ | Server.Client.Eof ->
-                  failwith "K8: expected an ANSWER frame")
-            instances
-        done
-      in
-      (* Prime: one cold pass fills the answer cache; everything that
-         is timed below is served from it. *)
-      let fd = Server.Client.connect path in
-      run_rounds fd 1;
-      (* Sequential reference: one connection carries the whole volume. *)
-      let t0 = Rc_core.Mclock.now_ns () in
-      run_rounds ~pause:think fd (clients * rounds);
-      let t_seq = Rc_core.Mclock.elapsed_s t0 in
-      Server.Client.close fd;
-      (* Concurrent: the same volume from [clients] domains at once. *)
-      let t0 = Rc_core.Mclock.now_ns () in
-      let ds =
-        List.init clients (fun _ ->
-            Domain.spawn (fun () ->
-                let fd = Server.Client.connect path in
-                Fun.protect
-                  ~finally:(fun () -> Server.Client.close fd)
-                  (fun () -> run_rounds ~pause:think fd rounds)))
-      in
-      List.iter Domain.join ds;
-      let t_conc = Rc_core.Mclock.elapsed_s t0 in
-      let fd = Server.Client.connect path in
-      Server.Client.send_shutdown fd;
-      (match Server.Client.recv fd with
-      | Server.Client.Resp Server.Client.Bye -> ()
-      | _ -> failwith "K8: expected BYE");
-      Server.Client.close fd;
-      Domain.join server;
-      let total = clients * rounds * batch in
-      let seq_rate = float_of_int total /. t_seq in
-      let conc_rate = float_of_int total /. t_conc in
-      Format.printf
-        "warm cache, %d answers, %.0f ms think time: sequential %8.3f s \
-         (%.0f answers/s), %d clients %8.3f s (%.0f answers/s); peak \
-         sessions %d@."
-        total (think *. 1e3) t_seq seq_rate clients t_conc conc_rate
-        (Server.peak_connections t);
-      all_rows :=
-        !all_rows
-        @ [
-            (Printf.sprintf "k8/serve-warm-sequential/%d" total, t_seq *. 1e9);
-            (Printf.sprintf "k8/serve-warm-concurrent/%d" total, t_conc *. 1e9);
-          ];
-      derived :=
-        !derived
-        @ [
-            ("k8:sequential warm answers/s", seq_rate);
-            ("k8:concurrent warm answers/s", conc_rate);
-          ];
-      if t_conc > 0. then begin
-        let ratio = t_seq /. t_conc in
-        Format.printf "  speedup %-39s %11.1fx@."
-          (Printf.sprintf "%d concurrent clients vs sequential" clients)
-          ratio;
-        derived :=
-          !derived @ [ ("speedup:k8 concurrent clients vs sequential", ratio) ]
-      end)
-
-(* ------------------------------------------------------------------ *)
-(* K9: exact portfolio — pb racing bb through the 10k sweep            *)
-(* ------------------------------------------------------------------ *)
-
-(* PR 10 on the leaderboard: the 10k preset carries one clustered
-   instance (500 gadgets x 20 vertices) next to two monolithic
-   synthetic 10^4 sweeps.  Branch-and-bound [exact] is ceilinged at 40
-   vertices, so it reports Capped on all three cells; the portfolio
-   [exact:race] decomposes along union-graph components, refuses the
-   monolithic pair honestly (Failed, not a hang) and solves the
-   clustered cell — a certified exact optimum at a vertex count 250x
-   past the bb ceiling.  The Sanitize race counters say which backend
-   actually won. *)
-
-let k9_portfolio () =
-  section "K9 | exact portfolio: racing pb against bb at 10^4 vertices";
-  let preset =
-    match Rc_engine.Sweep.preset_of_string "10k" with
-    | Ok p -> p
-    | Error m -> failwith m
-  in
-  let races0 = Rc_check.Sanitize.races_run () in
-  let t0 = Rc_core.Mclock.now_ns () in
-  let t =
-    Rc_engine.Sweep.run ~domains:2
-      ~strategies:
-        [
-          Rc_core.Strategies.Exact_conservative;
-          Rc_core.Strategies.Exact_backend "race";
-        ]
-      ~seed:2026 preset
-  in
-  let wall = Rc_core.Mclock.elapsed_s t0 in
-  let outcome sname i =
-    match
-      Array.find_opt
-        (fun (c : Rc_engine.Sweep.cell) -> c.strategy = sname && c.instance = i)
-      t.Rc_engine.Sweep.cells
-    with
-    | Some c -> c.Rc_engine.Sweep.outcome
-    | None -> failwith "K9: missing sweep cell"
-  in
-  (match outcome "exact" 2 with
-  | Rc_engine.Sweep.Capped { ceiling } ->
-      Format.printf "  exact      #2 (clustered 10^4): Capped (ceiling %d)@."
-        ceiling
-  | _ -> failwith "K9: expected the bb exact cell to be Capped at 10^4");
-  (match outcome "exact:race" 0 with
-  | Rc_engine.Sweep.Failed _ ->
-      Format.printf
-        "  exact:race #0 (monolithic 10^4): refused (union component over \
-         reach)@."
-  | _ -> failwith "K9: expected exact:race to refuse the monolithic instance");
-  (match outcome "exact:race" 2 with
-  | Rc_engine.Sweep.Report r ->
-      Format.printf
-        "  exact:race #2 (clustered 10^4): solved, coalesced %d / %d move \
-         weight@."
-        r.Rc_core.Strategies.coalesced_weight r.Rc_core.Strategies.total_weight
-  | _ -> failwith "K9: expected exact:race to solve the clustered cell");
-  let races = Rc_check.Sanitize.races_run () - races0 in
-  let wins = Rc_check.Sanitize.race_wins () in
-  Format.printf "  races %d; wins: %s; losers cancelled %d, finished %d@."
-    races
-    (String.concat ", "
-       (List.map (fun (b, n) -> Printf.sprintf "%s=%d" b n) wins))
-    (Rc_check.Sanitize.race_losers_cancelled ())
-    (Rc_check.Sanitize.race_losers_finished ());
-  all_rows := !all_rows @ [ ("k9/portfolio-10k-sweep", wall *. 1e9) ];
-  derived :=
-    !derived
-    @ (("k9:portfolio races", float_of_int races)
-      :: List.map
-           (fun (b, n) ->
-             (Printf.sprintf "k9:race wins %s" b, float_of_int n))
-           wins)
 
 (* ------------------------------------------------------------------ *)
 (* E1: Theorem 1 pipeline — SSA interference graphs are chordal        *)
@@ -1742,16 +1154,9 @@ let () =
   Format.printf
     "Register-coalescing complexity reproduction — benchmark harness@.";
   Format.printf "(paper: Bouchez, Darte, Rastello, CGO 2007; see DESIGN.md)@.";
-  k0_flat_kernels ();
-  k1_search_drivers ();
-  k2_certification ();
   k3_bitset_density ();
-  k4_parallel_sweep ();
   k5_incremental_engine ();
-  k6_serving ();
   k7_static_analysis ();
-  k8_concurrent_serving ();
-  k9_portfolio ();
   e1_theorem1 ();
   e4_thm2 ();
   e5_thm3 ();
@@ -1768,21 +1173,5 @@ let () =
   a2_set_coalescing ();
   a3_lowering ();
   a4_decoalescing_scoring ();
-  (* DBG e1_theorem1 *)
-  (* DBG e4_thm2 *)
-  (* DBG e5_thm3 *)
-  (* DBG e6_thm4 *)
-  (* DBG e8_thm6 *)
-  (* DBG reductions_bench *)
-  (* DBG e7_chordal_incremental *)
-  (* DBG e11_challenge *)
-  (* DBG e12_quality_gap *)
-  (* DBG e13_scaling *)
-  (* DBG e14_regalloc *)
-  (* DBG e15_aggressive_spills *)
-  (* DBG a1_biased_coloring *)
-  (* DBG a2_set_coalescing *)
-  (* DBG a3_lowering *)
-  (* DBG a4_decoalescing_scoring *)
   (match json_file with Some f -> emit_json f | None -> ());
   Format.printf "@.done.@."

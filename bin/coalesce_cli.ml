@@ -7,7 +7,6 @@
                       [--level full|split] [--json FILE]
    coalesce check     --seed 7 --k 6 [--strategy NAME] [--lint]
    coalesce sweep     --preset smoke|ssa|10k|100k --domains 4 [--json FILE]
-   coalesce bench     --preset smoke --domains 4 [--json FILE]
    coalesce reduction --theorem 2|3|4|6 --seed 5 [--size 6]
    coalesce thm5      --seed 3 --n 200
    coalesce allocate  --seed 7 --k 6 [--biased]
@@ -42,35 +41,17 @@ module Common = struct
 
   let rows_conv =
     let parse s =
-      match s with
-      | "auto" -> Ok Rc_graph.Flat.Auto
-      | "matrix" -> Ok Rc_graph.Flat.Matrix
-      | "sparse" -> Ok Rc_graph.Flat.Sparse_rows
-      | "bitset" -> Ok Rc_graph.Flat.Bitset_rows
-      | s -> (
-          match String.index_opt s ':' with
-          | Some i
-            when String.sub s 0 i = "threshold" -> (
-              match
-                int_of_string_opt
-                  (String.sub s (i + 1) (String.length s - i - 1))
-              with
-              | Some n when n >= 0 -> Ok (Rc_graph.Flat.Threshold n)
-              | _ -> Error (`Msg "threshold:N needs a non-negative integer"))
-          | _ ->
-              Error
-                (`Msg
-                   (Printf.sprintf
-                      "unknown rows policy %S (auto, matrix, sparse, bitset, \
-                       threshold:N)"
-                      s)))
+      match Rc_graph.Flat.rows_of_string s with
+      | Some r -> Ok r
+      | None ->
+          Error
+            (`Msg
+               (Printf.sprintf
+                  "unknown rows policy %S (auto, sparse, bitset, threshold:N)"
+                  s))
     in
-    let print ppf = function
-      | Rc_graph.Flat.Auto -> Format.fprintf ppf "auto"
-      | Rc_graph.Flat.Matrix -> Format.fprintf ppf "matrix"
-      | Rc_graph.Flat.Sparse_rows -> Format.fprintf ppf "sparse"
-      | Rc_graph.Flat.Bitset_rows -> Format.fprintf ppf "bitset"
-      | Rc_graph.Flat.Threshold n -> Format.fprintf ppf "threshold:%d" n
+    let print ppf r =
+      Format.pp_print_string ppf (Rc_graph.Flat.rows_to_string r)
     in
     Arg.conv (parse, print)
 
@@ -107,7 +88,7 @@ module Common = struct
       & opt (some rows_conv) None
       & info [ "rows" ] ~docv:"POLICY"
           ~doc:
-            "Kernel adjacency-row policy: auto, matrix, sparse, bitset or \
+            "Kernel adjacency-row policy: auto, sparse, bitset or \
              threshold:N (defaults to the kernel's auto heuristic).")
 
   let domains =
@@ -564,19 +545,7 @@ let sweep_cmd =
             "Also print per-strategy wall times (excluded from the canonical \
              report, which is domain-count independent).")
   in
-  let no_cache_arg =
-    Arg.(
-      value & flag
-      & info [ "no-cache" ]
-          ~doc:
-            "Solve through the rescan specification loops instead of the \
-             incremental worklist engine with its invalidate-on-merge rule \
-             cache.  Identical reports (the differential suites lock the two \
-             paths together), much slower at scale — the uncached axis of \
-             the cached-vs-uncached benchmark.")
-  in
-  let run seed preset domains rows check strategy strategies timing no_cache
-      json =
+  let run seed preset domains rows check strategy strategies timing json =
     if Rc_check.Sanitize.install_if_enabled () then
       Format.printf "sanitizer: enabled (profile %s)@."
         Rc_check.Sanitize.profile;
@@ -590,8 +559,7 @@ let sweep_cmd =
       | None, None -> Strategies.all_heuristics
     in
     let t =
-      Rc_engine.Sweep.run ?domains ?rows ~incremental:(not no_cache) ~check
-        ~strategies ~seed preset
+      Rc_engine.Sweep.run ?domains ?rows ~check ~strategies ~seed preset
     in
     Format.printf "%a" Rc_engine.Sweep.pp t;
     if timing then Format.printf "%a" Rc_engine.Sweep.pp_timing t;
@@ -603,75 +571,11 @@ let sweep_cmd =
     (Cmd.info "sweep"
        ~doc:
          "Fan a strategy x instance leaderboard out over a domain pool.  The \
-          report (without --timing) is byte-identical at any --domains value \
-          and with or without --no-cache.")
+          report (without --timing) is byte-identical at any --domains \
+          value.")
     Term.(
       const run $ Common.seed $ preset_arg $ Common.domains $ Common.rows
       $ Common.check $ strategy_arg $ strategies_arg $ timing_arg
-      $ no_cache_arg $ Common.json)
-
-(* bench -------------------------------------------------------------- *)
-
-let bench_cmd =
-  let run seed preset domains rows json =
-    let domains =
-      match domains with
-      | Some d -> max 1 d
-      | None -> Rc_engine.Pool.recommended_domains ()
-    in
-    let seq = Rc_engine.Sweep.run ~domains:1 ?rows ~seed preset in
-    let par = Rc_engine.Sweep.run ~domains ?rows ~seed preset in
-    let unc =
-      Rc_engine.Sweep.run ~domains:1 ?rows ~incremental:false ~seed preset
-    in
-    if Rc_engine.Sweep.canonical seq <> Rc_engine.Sweep.canonical par then begin
-      Format.eprintf
-        "determinism violation: 1-domain and %d-domain reports differ@."
-        domains;
-      exit 1
-    end;
-    if Rc_engine.Sweep.canonical seq <> Rc_engine.Sweep.canonical unc then begin
-      Format.eprintf
-        "equivalence violation: cached and uncached reports differ@.";
-      exit 1
-    end;
-    Format.printf
-      "sweep %s, seed %d: reports identical at 1 and %d domains, cached and \
-       uncached@."
-      preset.Rc_engine.Sweep.sname seed domains;
-    Format.printf "sequential (1 domain):  %8.3fs@." seq.Rc_engine.Sweep.wall_s;
-    Format.printf "parallel   (%d domains): %8.3fs@." domains
-      par.Rc_engine.Sweep.wall_s;
-    Format.printf "uncached   (1 domain):  %8.3fs@." unc.Rc_engine.Sweep.wall_s;
-    Format.printf "speedup: %.2fx@."
-      (seq.Rc_engine.Sweep.wall_s /. par.Rc_engine.Sweep.wall_s);
-    Option.iter
-      (fun f ->
-        Common.write_json f
-          (Printf.sprintf
-             "{\n\
-             \  \"preset\": \"%s\",\n\
-             \  \"seed\": %d,\n\
-             \  \"domains\": %d,\n\
-             \  \"sequential_wall_s\": %.6f,\n\
-             \  \"parallel_wall_s\": %.6f,\n\
-             \  \"uncached_wall_s\": %.6f,\n\
-             \  \"speedup\": %.6f\n\
-              }\n"
-             preset.Rc_engine.Sweep.sname seed domains
-             seq.Rc_engine.Sweep.wall_s par.Rc_engine.Sweep.wall_s
-             unc.Rc_engine.Sweep.wall_s
-             (seq.Rc_engine.Sweep.wall_s /. par.Rc_engine.Sweep.wall_s)))
-      json
-  in
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:
-         "Time the same sweep sequentially, on the domain pool, and through \
-          the uncached rescan path; assert all three reports are identical; \
-          print the speedup.")
-    Term.(
-      const run $ Common.seed $ preset_arg $ Common.domains $ Common.rows
       $ Common.json)
 
 (* reduction ---------------------------------------------------------- *)
@@ -1092,7 +996,6 @@ let () =
             analyze_cmd;
             check_cmd;
             sweep_cmd;
-            bench_cmd;
             reduction_cmd;
             thm5_cmd;
             allocate_cmd;

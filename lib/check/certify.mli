@@ -22,8 +22,8 @@
     - under the {!Chordality_preserved} claim, a chordal input keeps a
       chordal merged graph ({!Rc_graph.Chordal.Reference}).
 
-    The certifier runs in O((V + E) * alpha + A + greedy-check) and is
-    measured as bench section K2. *)
+    The certifier runs in O((V + E) * alpha + A + greedy-check); perfbench
+    measures it per request ([certify.ms_p50], [certify.ms_tail]). *)
 
 module Graph = Rc_graph.Graph
 module Problem = Rc_core.Problem

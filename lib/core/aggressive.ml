@@ -12,7 +12,7 @@ let by_weight affinities =
    the historical persistent loop, so committed classes are identical —
    but each merge is O(row ops) on the flat mirror instead of a
    persistent graph surgery. *)
-let coalesce_spec spec affinities =
+let greedy_pass spec affinities =
   let f = Spec.flat spec in
   let rec pass pending =
     let kept, progress =
@@ -33,7 +33,7 @@ let coalesce_spec spec affinities =
 
 let coalesce_state st affinities =
   let spec = Spec.of_state st in
-  coalesce_spec spec affinities;
+  greedy_pass spec affinities;
   Spec.commit spec
 
 let coalesce (p : Problem.t) =

@@ -15,12 +15,6 @@ val coalesce_state : Coalescing.state -> Problem.affinity list -> Coalescing.sta
 (** The same loop from an existing state (one flat speculation mirror
     internally; same classes as the historical persistent loop). *)
 
-val coalesce_spec :
-  Coalescing.Speculation.spec -> Problem.affinity list -> unit
-(** The pass loop on an existing speculation context, mutating it in
-    place — for drivers that keep searching on the same mirror
-    afterwards ({!Optimistic} phase 1). *)
-
 val all_coalescable : Problem.t -> Coalescing.state option
 (** [Some st] iff greedily merging every affinity succeeds for all of
     them — the precondition of the optimistic problem (Section 5).

@@ -27,8 +27,8 @@ let rule_name = function
 
 module Spec = Coalescing.Speculation
 
-(* The local (non-speculating) rule tests, shared by the rescan loop,
-   the incremental engine and its coherence audits. *)
+(* The local (non-speculating) rule tests, shared by the engine, its
+   coherence audits and the test-only rescan oracle. *)
 let local_test rule f ~k iu iv =
   match rule with
   | Briggs -> Rules.briggs_flat f ~k iu iv
@@ -38,71 +38,29 @@ let local_test rule f ~k iu iv =
       Rules.briggs_or_george_flat f ~k iu iv
       || Rules.george_extended_flat f ~k iu iv
       || Rules.george_extended_flat f ~k iv iu
-  | Brute_force -> assert false
-
-(* Does merging the (flat) class roots [iu], [iv] keep the graph
-   greedy-k-colorable according to the rule?  On acceptance the merge
-   is applied to the speculation context. *)
-let test_and_merge rule ~k spec iu iv =
-  let f = Spec.flat spec in
-  match rule with
   | Brute_force ->
-      let m = Spec.mark spec in
-      Spec.merge_roots spec iu iv;
-      if Greedy_k.flat_is_greedy_k_colorable f k then begin
-        Spec.release spec m;
-        true
-      end
-      else begin
-        Spec.rollback spec m;
-        false
-      end
-  | _ ->
-      let accept = local_test rule f ~k iu iv in
-      if accept then Spec.merge_roots spec iu iv;
-      accept
-
-(* Fixpoint over an existing speculation context: each pass tries every
-   still-open affinity by decreasing weight; stop when a pass coalesces
-   nothing.  Set_coalescing runs this as its singleton pass on the one
-   context its whole search lives in. *)
-let coalesce_spec rule ~k spec affinities =
-  let f = Spec.flat spec in
-  let by_weight =
-    List.sort
-      (fun (a : Problem.affinity) b ->
-        compare (b.weight, a.u, a.v) (a.weight, b.u, b.v))
-      affinities
-  in
-  let rec pass pending =
-    let kept, progress =
-      List.fold_left
-        (fun (kept, progress) (a : Problem.affinity) ->
-          let iu = Spec.repr spec a.u and iv = Spec.repr spec a.v in
-          if iu = iv then (kept, progress)
-          else if Flat.mem_edge f iu iv then (a :: kept, progress)
-          else if test_and_merge rule ~k spec iu iv then (kept, true)
-          else (a :: kept, progress))
-        ([], false) pending
-    in
-    if progress then pass (List.rev kept)
-  in
-  pass by_weight
+      invalid_arg
+        "Conservative.local_test: Brute_force is not a local rule (it \
+         speculates a merge and re-checks the whole graph)"
 
 (* ------------------------------------------------------------------ *)
 (* The incremental engine                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Same fixpoint, same merge sequence, computed without the rescans: a
-   {!Rule_cache} tracks which affinities could possibly have changed
-   verdict since their last rejection, and a pass visits only those.
+(* The fixpoint of Section 4 — each pass tries every still-open affinity
+   by decreasing weight, stopping when a pass coalesces nothing —
+   computed without rescans: a {!Rule_cache} tracks which affinities
+   could possibly have changed verdict since their last rejection, and
+   a pass visits only those.
 
-   Equivalence with [coalesce_spec].  A pass there tests every pending
-   affinity in rank order; only affinities whose verdict-relevant state
-   changed since their last rejection can accept, and every such change
-   dirties the affinity through the cache's invalidation sets (movelist
-   bumps cover verdict inputs, splices cover root changes, and new
-   interference between roots implies a bump of both).  Visiting
+   Equivalence with the rescan loop (test/oracle/rescan.ml, which the
+   differential suites hold the engine to).  A rescan pass tests every
+   pending affinity in rank order; only affinities whose
+   verdict-relevant state changed since their last rejection can
+   accept, and every such change dirties the affinity through the
+   cache's invalidation sets (movelist bumps cover verdict inputs,
+   splices cover root changes, and new interference between roots
+   implies a bump of both).  Visiting
    exactly the dirty affinities, in the same rank order, with dirtiness
    consulted at visit time (a merge mid-pass dirties later ranks into
    the same pass, earlier ranks into the next — just like the rescan)
@@ -212,7 +170,12 @@ module Engine = struct
   let brute_probe t aid iu iv =
     let f = Spec.flat t.spec in
     let sigma =
-      match t.sigma with Some s -> s | None -> assert false (* brute only *)
+      match t.sigma with
+      | Some s -> s
+      | None ->
+          invalid_arg
+            "Conservative.Engine: brute-force probe on an engine created \
+             for a local rule (no elimination order)"
     in
     if not (Elim_order.in_sync sigma) then t.colorable <- Elim_order.sync sigma;
     if t.colorable then begin
@@ -325,16 +288,13 @@ module Engine = struct
     done
 end
 
-let coalesce_state ?rows ?(incremental = true) rule ~k st affinities =
+let coalesce_state ?rows rule ~k st affinities =
   let spec = Spec.of_state ?rows st in
-  if incremental then Engine.run (Engine.create rule ~k spec affinities)
-  else coalesce_spec rule ~k spec affinities;
+  Engine.run (Engine.create rule ~k spec affinities);
   Spec.commit spec
 
-let coalesce ?rows ?incremental rule (p : Problem.t) =
+let coalesce ?rows rule (p : Problem.t) =
   let st =
-    coalesce_state ?rows ?incremental rule ~k:p.k
-      (Coalescing.initial p.graph)
-      p.affinities
+    coalesce_state ?rows rule ~k:p.k (Coalescing.initial p.graph) p.affinities
   in
   Coalescing.solution_of_state p st

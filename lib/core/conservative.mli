@@ -18,23 +18,16 @@ type rule =
 val rule_name : rule -> string
 
 val coalesce :
-  ?rows:Rc_graph.Flat.rows ->
-  ?incremental:bool ->
-  rule ->
-  Problem.t ->
-  Coalescing.solution
+  ?rows:Rc_graph.Flat.rows -> rule -> Problem.t -> Coalescing.solution
 (** Worklist conservative coalescing: affinities are processed by
     decreasing weight; an affinity is coalesced when the rule accepts it
     on the current graph; rejected affinities are retried after every
     successful merge until a fixpoint (merging lowers degrees and can
-    enable previously rejected tests).
-
-    [?incremental] (default true) runs the fixpoint on the
-    {!Engine} — per-pass work proportional to the affinities whose
-    verdict could have changed, instead of a full rescan — producing
-    the identical merge sequence (the differential tests lock this).
-    [false] keeps the original rescan loop as the executable
-    specification.
+    enable previously rejected tests).  The fixpoint runs on the
+    {!Engine}: per-pass work proportional to the affinities whose
+    verdict could have changed, with the merge sequence of a full
+    rescan per pass (the differential suites hold it to that rescan
+    loop, kept as a test-only oracle).
 
     Prefer {!Strategies.run_cfg} for new call sites: the [?rows]
     optional argument here (and on {!coalesce_state}) is the [rows]
@@ -43,7 +36,6 @@ val coalesce :
 
 val coalesce_state :
   ?rows:Rc_graph.Flat.rows ->
-  ?incremental:bool ->
   rule ->
   k:int ->
   Coalescing.state ->
@@ -54,25 +46,21 @@ val coalesce_state :
     picks the speculation mirror's row representation (bench and
     differential tests); the result is representation-independent. *)
 
-val coalesce_spec :
-  rule ->
-  k:int ->
-  Coalescing.Speculation.spec ->
-  Problem.affinity list ->
-  unit
-(** The rescan worklist loop on an existing speculation context,
-    mutating it in place (no commit) — the executable specification the
-    differential tests hold {!Engine} to, and the [incremental:false]
-    code path. *)
+val local_test :
+  rule -> Rc_graph.Flat.t -> k:int -> int -> int -> bool
+(** [local_test rule f ~k iu iv]: does the local rule accept merging the
+    class roots [iu], [iv] of [f]?  Reads the graph, never mutates it.
+    Raises [Invalid_argument] on [Brute_force], whose verdict is global
+    (merge, re-check greedy-k-colorability of the whole graph). *)
 
 (** {1 The incremental engine}
 
-    The same fixpoint as {!coalesce_spec} — identical merge sequence,
-    pass for pass — computed without the rescans: a {!Rule_cache}
-    tracks exactly which affinities could have changed verdict since
-    their last rejection (generation stamps for the local rules,
-    residue witnesses for brute force), and each pass visits only
-    those.  Searches that own a long-lived speculation context
+    The worklist fixpoint — identical merge sequence, pass for pass, to
+    rescanning every open affinity per pass — computed without the
+    rescans: a {!Rule_cache} tracks exactly which affinities could have
+    changed verdict since their last rejection (generation stamps for
+    the local rules, residue witnesses for brute force), and each pass
+    visits only those.  Searches that own a long-lived speculation context
     ({!Set_coalescing}) keep the engine across their own probes: its
     cache rides the context's marks, so rollbacks restore verdict
     validity automatically. *)

@@ -130,56 +130,3 @@ let incremental (p : Problem.t) x y =
     match Coalescing.merge (Coalescing.initial p.graph) x y with
     | None -> false
     | Some st -> Coloring.k_colorable (Coalescing.graph st) p.k <> None
-
-(* ------------------------------------------------------------------ *)
-(* Reference: the persistent-graph search, kept verbatim as the
-   baseline for the differential test suite (test_search_equiv) and the
-   old-vs-new benchmark trajectory (bench K1, BENCH_*.json).  Each
-   probe pays a full persistent [Coalescing.merge]; the flat path above
-   replaces it with checkpointed mutations.                            *)
-(* ------------------------------------------------------------------ *)
-
-module Reference = struct
-  let search (p : Problem.t) ~final_ok =
-    let affinities, suffix_weight = sorted_affinities p in
-    let best = ref None in
-    let best_weight = ref (-1) in
-    let rec go i st gained =
-      if gained + suffix_weight.(i) <= !best_weight then ()
-      else if i = Array.length affinities then begin
-        if final_ok (Coalescing.graph st) then begin
-          best := Some st;
-          best_weight := gained
-        end
-      end
-      else begin
-        let a = affinities.(i) in
-        if Coalescing.same_class st a.u a.v then
-          go (i + 1) st (gained + a.weight)
-        else begin
-          (match Coalescing.merge st a.u a.v with
-          | Some st' -> go (i + 1) st' (gained + a.weight)
-          | None -> ());
-          go (i + 1) st gained
-        end
-      end
-    in
-    go 0 (Coalescing.initial p.graph) 0;
-    match !best with
-    | Some st -> Coalescing.solution_of_state p st
-    | None ->
-        invalid_arg "Exact.search: the uncoalesced graph is not acceptable"
-
-  let aggressive p = search p ~final_ok:(fun _ -> true)
-
-  let conservative (p : Problem.t) =
-    if not (Greedy_k.is_greedy_k_colorable p.graph p.k) then
-      invalid_arg "Exact.conservative: input graph is not greedy-k-colorable";
-    search p ~final_ok:(fun g -> Greedy_k.is_greedy_k_colorable g p.k)
-
-  let conservative_k_colorable (p : Problem.t) =
-    if Coloring.k_colorable p.graph p.k = None then
-      invalid_arg
-        "Exact.conservative_k_colorable: input graph is not k-colorable";
-    search p ~final_ok:(fun g -> Coloring.k_colorable g p.k <> None)
-end

@@ -80,17 +80,6 @@ val incremental : Problem.t -> Rc_graph.Graph.vertex -> Rc_graph.Graph.vertex ->
     context: branches merge on the flat graph, leaves re-run the linear
     verdict kernel in place, and backtracking is a checkpoint rollback.
     Exploration order, pruning and tie-breaking are identical to the
-    persistent-graph search, so both paths return the same optimum. *)
-
-(** {1 Reference implementation}
-
-    The pre-speculation code path on the persistent {!Coalescing.state}
-    representation (one {!Coalescing.merge} per probe), kept as the
-    baseline for the differential test suite and the old-vs-new
-    benchmark trajectory ([bench --json]). *)
-
-module Reference : sig
-  val aggressive : Problem.t -> Coalescing.solution
-  val conservative : Problem.t -> Coalescing.solution
-  val conservative_k_colorable : Problem.t -> Coalescing.solution
-end
+    persistent-graph search (one {!Coalescing.merge} per probe, the
+    test-only oracle the differential suite holds this to), so both
+    return the same optimum. *)

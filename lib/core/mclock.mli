@@ -5,7 +5,7 @@
     task for every scheduling gap between its two clock reads.
     [CLOCK_MONOTONIC] never steps backwards and is the clock every
     timing report in this repo ({!Strategies.evaluate}, the sweep
-    engine, bench section K4) is measured on. *)
+    engine, the bench harness) is measured on. *)
 
 val now_ns : unit -> int64
 (** Nanoseconds on the monotonic clock.  Only differences are

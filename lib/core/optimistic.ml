@@ -13,11 +13,11 @@ let internal_weight affinities members =
 
 type scoring = Degree_per_weight | Weight_only | Degree_only
 
-(* Victim choice shared by both code paths: among the merged classes
-   whose representative sits in the stuck residue (iterated in
-   increasing representative order), the first one whose score strictly
-   beats the running best.  [residue_degree] gives the representative's
-   degree within the residue-induced subgraph. *)
+(* Victim choice, shared with the test-only persistent oracle: among
+   the merged classes whose representative sits in the stuck residue
+   (iterated in increasing representative order), the first one whose
+   score strictly beats the running best.  [residue_degree] gives the
+   representative's degree within the residue-induced subgraph. *)
 let pick_victim ~scoring ~affinities ~residue_degree merged_classes =
   let score (rep, members) =
     let gain = float_of_int (residue_degree rep) in
@@ -34,7 +34,11 @@ let pick_victim ~scoring ~affinities ~residue_degree merged_classes =
         if s > bs then (Some c, s) else (bv, bs))
       (None, neg_infinity) merged_classes
     |> fun (v, s) ->
-    (match v with Some v -> (v, s) | None -> assert false)
+    match v with
+    | Some v -> (v, s)
+    | None ->
+        invalid_arg
+          "Optimistic.pick_victim: no merged class in the stuck residue"
   in
   victim
 
@@ -44,11 +48,12 @@ let pick_victim ~scoring ~affinities ~residue_degree merged_classes =
    explicitly; the persistent state is realized exactly once, at the
    end.
 
-   Class bookkeeping mirrors the Reference path bit for bit: after
-   every split the class representatives collapse to the smallest
-   member (as the Reference rebuild picks them) and the class list is
-   iterated in increasing representative order (as [Coalescing.classes]
-   yields it), so victim scoring and tie-breaking agree. *)
+   Class bookkeeping mirrors the persistent rebuild (the test-only
+   oracle) bit for bit: after every split the class representatives
+   collapse to the smallest member (as [Coalescing.of_classes] picks
+   them) and the class list is iterated in increasing representative
+   order (as [Coalescing.classes] yields it), so victim scoring and
+   tie-breaking agree. *)
 let decoalesce_greedy ?rows ?(scoring = Degree_per_weight) (p : Problem.t) st =
   let f = Flat.of_graph ?rows p.graph in
   let in_residue = Array.make (Flat.capacity f) false in
@@ -119,7 +124,7 @@ let decoalesce_greedy ?rows ?(scoring = Degree_per_weight) (p : Problem.t) st =
      picks. *)
   if !splits = 0 then st else Coalescing.of_classes p.graph classes
 
-let coalesce ?rows ?scoring ?incremental (p : Problem.t) =
+let coalesce ?rows ?scoring (p : Problem.t) =
   if not (Greedy_k.is_greedy_k_colorable p.graph p.k) then
     invalid_arg "Optimistic.coalesce: input graph is not greedy-k-colorable";
   (* Phase 1: aggressive. *)
@@ -133,71 +138,7 @@ let coalesce ?rows ?scoring ?incremental (p : Problem.t) =
       p.affinities
   in
   let st =
-    Conservative.coalesce_state ?rows ?incremental Conservative.Brute_force
-      ~k:p.k st open_affinities
+    Conservative.coalesce_state ?rows Conservative.Brute_force ~k:p.k st
+      open_affinities
   in
   Coalescing.solution_of_state p st
-
-(* ------------------------------------------------------------------ *)
-(* Reference: the persistent-graph de-coalescing loop, kept verbatim as
-   the baseline for the differential test suite and the old-vs-new
-   benchmark trajectory.  Every iteration rebuilds the whole merge
-   state from its classes and re-derives the witness residue on the
-   persistent representation.                                          *)
-(* ------------------------------------------------------------------ *)
-
-module Reference = struct
-  let decoalesce_greedy ?(scoring = Degree_per_weight) (p : Problem.t) st =
-    let rec loop st =
-      let g = Coalescing.graph st in
-      match Greedy_k.witness_subgraph g p.k with
-      | None -> st
-      | Some residue ->
-          let merged_classes =
-            List.filter
-              (fun (r, members) ->
-                ISet.mem r residue && List.length members >= 2)
-              (Coalescing.classes st)
-          in
-          (match merged_classes with
-          | [] ->
-              invalid_arg
-                "Optimistic.decoalesce_greedy: residue without merged classes \
-                 (base graph not greedy-k-colorable)"
-          | _ ->
-              let residue_graph = Graph.induced g residue in
-              let victim_repr, _ =
-                pick_victim ~scoring ~affinities:p.affinities
-                  ~residue_degree:(Graph.degree residue_graph)
-                  merged_classes
-              in
-              (* Split the victim into singletons and re-root every
-                 other class at its smallest member. *)
-              List.filter_map
-                (fun (r, members) ->
-                  if r = victim_repr then None
-                  else Some (List.hd members, members))
-                (Coalescing.classes st)
-              |> Coalescing.of_classes p.graph
-              |> loop)
-    in
-    loop st
-
-  let coalesce ?scoring (p : Problem.t) =
-    if not (Greedy_k.is_greedy_k_colorable p.graph p.k) then
-      invalid_arg "Optimistic.coalesce: input graph is not greedy-k-colorable";
-    let st =
-      Aggressive.coalesce_state (Coalescing.initial p.graph) p.affinities
-    in
-    let st = decoalesce_greedy ?scoring p st in
-    let open_affinities =
-      List.filter
-        (fun (a : Problem.affinity) -> not (Coalescing.same_class st a.u a.v))
-        p.affinities
-    in
-    let st =
-      Conservative.coalesce_state Conservative.Brute_force ~k:p.k st
-        open_affinities
-    in
-    Coalescing.solution_of_state p st
-end

@@ -22,21 +22,17 @@ type scoring =
   | Degree_only  (** split the class with the highest residue degree *)
 
 val coalesce :
-  ?rows:Rc_graph.Flat.rows ->
-  ?scoring:scoring ->
-  ?incremental:bool ->
-  Problem.t ->
+  ?rows:Rc_graph.Flat.rows -> ?scoring:scoring -> Problem.t ->
   Coalescing.solution
 (** Requires the input graph to be greedy-k-colorable; raises
     [Invalid_argument] otherwise (the de-coalescing loop could not
-    terminate on an uncolorable base graph).  [?incremental] (default
-    true) selects the {!Conservative.Engine} for the phase-3
-    re-coalescing fixpoint.
+    terminate on an uncolorable base graph).  The phase-3 re-coalescing
+    fixpoint runs on the {!Conservative.Engine}.
 
-    Prefer {!Strategies.run_cfg} for new call sites: the scattered
-    optional arguments of the individual searches ([?scoring] here,
-    [?rows], [?max_set]) are folded into one {!Strategies.config}
-    record there; this entry point stays as the primitive the
+    Prefer {!Strategies.run_cfg} for new call sites: [?rows] is the
+    [rows] field of {!Strategies.config} there; [?scoring] (default
+    [Degree_per_weight]) is for the de-coalescing ablation and the
+    differential tests.  This entry point stays as the primitive the
     dispatcher calls. *)
 
 val decoalesce_greedy :
@@ -49,18 +45,18 @@ val decoalesce_greedy :
     Runs on the {!Rc_graph.Flat} kernel: one mirror of the base graph,
     and per iteration a checkpointed replay of the surviving class
     merges followed by a rollback — victim scoring and tie-breaking
-    match the persistent {!Reference} path exactly. *)
+    match a persistent rebuild of the merge state per split (the
+    test-only oracle the differential suite holds this to). *)
 
-(** {1 Reference implementation}
-
-    The pre-speculation code path, kept as the baseline for the
-    differential test suite and the old-vs-new benchmark trajectory
-    ([bench --json]): every de-coalescing iteration rebuilds the merge
-    state from its classes on the persistent representation. *)
-
-module Reference : sig
-  val coalesce : ?scoring:scoring -> Problem.t -> Coalescing.solution
-
-  val decoalesce_greedy :
-    ?scoring:scoring -> Problem.t -> Coalescing.state -> Coalescing.state
-end
+val pick_victim :
+  scoring:scoring ->
+  affinities:Problem.affinity list ->
+  residue_degree:(Rc_graph.Graph.vertex -> int) ->
+  (Rc_graph.Graph.vertex * Rc_graph.Graph.vertex list) list ->
+  Rc_graph.Graph.vertex * Rc_graph.Graph.vertex list
+(** The de-coalescing victim among merged classes [(rep, members)]
+    whose representative lies in the stuck residue (in increasing
+    representative order): the first class whose score strictly beats
+    every earlier one.  [residue_degree rep] is the representative's
+    degree in the residue-induced subgraph.  Raises [Invalid_argument]
+    on an empty class list. *)

@@ -57,45 +57,12 @@ let try_set ~k spec set =
     false
   end
 
-(* The rescan search: singleton fixpoints via the rescan loop, pair
-   candidates by full enumeration.  Kept as the executable
-   specification for the incremental path below. *)
-let coalesce_rescan ?rows ~max_set (p : Problem.t) =
-  let spec = Spec.of_state ?rows (Coalescing.initial p.graph) in
-  let open_affinities () =
-    List.filter
-      (fun (a : Problem.affinity) -> not (Spec.same_class spec a.u a.v))
-      p.affinities
-  in
-  (* Singleton fixpoint = brute-force conservative coalescing. *)
-  let singles () =
-    Conservative.coalesce_spec Conservative.Brute_force ~k:p.k spec
-      (open_affinities ())
-  in
-  let rec grow size =
-    if size <= max_set then
-      let candidates = subsets_by_weight size (open_affinities ()) in
-      let rec try_all = function
-        | [] -> grow (size + 1)
-        | set :: rest ->
-            if try_set ~k:p.k spec set then begin
-              (* a set succeeded: re-run singles, restart from size 2 *)
-              singles ();
-              grow 2
-            end
-            else try_all rest
-      in
-      try_all candidates
-  in
-  singles ();
-  grow 2;
-  Coalescing.solution_of_state p (Spec.commit spec)
-
-(* ------------------------------------------------------------------ *)
-(* The incremental search                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Same search, two structural savings:
+(* The search: run the singleton fixpoint, then probe sets of 2, 3, ...
+   up to [max_set] open affinities by decreasing combined weight,
+   restarting from singletons after each successful set.  Two
+   structural savings over enumerating and rescanning everything (the
+   test-only rescan oracle, which the differential suite holds this
+   to):
 
    1. The singleton fixpoint is one persistent {!Conservative.Engine}
       over the search's speculation context instead of a fresh rescan
@@ -126,7 +93,8 @@ let coalesce_rescan ?rows ~max_set (p : Problem.t) =
       cache movelists of R_x ∪ {roots of x}: work proportional to the
       affinities actually rooted near the witness, not to all open
       pairs.  Sizes >= 3 keep the generic enumeration. *)
-let coalesce_incremental ?rows ~max_set (p : Problem.t) =
+let coalesce ?rows ?(max_set = 2) (p : Problem.t) =
+  if max_set < 1 then invalid_arg "Set_coalescing.coalesce: max_set < 1";
   let spec = Spec.of_state ?rows (Coalescing.initial p.graph) in
   let engine =
     Conservative.Engine.create Conservative.Brute_force ~k:p.k spec
@@ -262,11 +230,6 @@ let coalesce_incremental ?rows ~max_set (p : Problem.t) =
   grow 2;
   Coalescing.solution_of_state p (Spec.commit spec)
 
-let coalesce ?rows ?(max_set = 2) ?(incremental = true) (p : Problem.t) =
-  if max_set < 1 then invalid_arg "Set_coalescing.coalesce: max_set < 1";
-  if incremental then coalesce_incremental ?rows ~max_set p
-  else coalesce_rescan ?rows ~max_set p
-
 let transitive_closure_affinities (p : Problem.t) =
   let by_vertex = Hashtbl.create 16 in
   List.iter
@@ -309,57 +272,3 @@ let transitive_closure_affinities (p : Problem.t) =
     (fun (u, v) weight acc -> { Problem.u; v; weight } :: acc)
     out []
   |> List.sort compare
-
-(* ------------------------------------------------------------------ *)
-(* Reference: the persistent-graph set search, kept verbatim as the
-   baseline for the differential test suite and the old-vs-new
-   benchmark trajectory.  Every probed candidate set folds persistent
-   [Coalescing.merge]s and every singleton pass rebuilds a fresh flat
-   mirror of the current state.                                        *)
-(* ------------------------------------------------------------------ *)
-
-module Reference = struct
-  let try_set ~k st set =
-    let merged =
-      List.fold_left
-        (fun acc (a : Problem.affinity) ->
-          match acc with
-          | None -> None
-          | Some st ->
-              if Coalescing.same_class st a.u a.v then Some st
-              else Coalescing.merge st a.u a.v)
-        (Some st) set
-    in
-    match merged with
-    | Some st' when Greedy_k.is_greedy_k_colorable (Coalescing.graph st') k ->
-        Some st'
-    | Some _ | None -> None
-
-  let coalesce ?(max_set = 2) (p : Problem.t) =
-    if max_set < 1 then invalid_arg "Set_coalescing.coalesce: max_set < 1";
-    let open_affinities st =
-      List.filter
-        (fun (a : Problem.affinity) -> not (Coalescing.same_class st a.u a.v))
-        p.affinities
-    in
-    let singles st =
-      Conservative.coalesce_state Conservative.Brute_force ~k:p.k st
-        (open_affinities st)
-    in
-    let rec grow st size =
-      if size > max_set then st
-      else
-        let candidates = subsets_by_weight size (open_affinities st) in
-        let rec try_all = function
-          | [] -> grow st (size + 1)
-          | set :: rest -> (
-              match try_set ~k:p.k st set with
-              | Some st' -> grow (singles st') 2
-              | None -> try_all rest)
-        in
-        try_all candidates
-    in
-    let st = singles (Coalescing.initial p.graph) in
-    let st = grow st 2 in
-    Coalescing.solution_of_state p st
-end

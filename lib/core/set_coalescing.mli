@@ -13,25 +13,33 @@
     paper suggests). *)
 
 val coalesce :
-  ?rows:Rc_graph.Flat.rows -> ?max_set:int -> ?incremental:bool ->
-  Problem.t -> Coalescing.solution
+  ?rows:Rc_graph.Flat.rows -> ?max_set:int -> Problem.t -> Coalescing.solution
 (** Runs the brute-force singleton pass to a fixpoint, then tries sets
     of 2, 3, ... up to [max_set] (default 2) open affinities by
     decreasing combined weight, restarting from singletons after each
     successful set merge.  The result is always conservative.
     Exponential in [max_set] only (the set enumeration is
-    O(m^max_set)).
+    O(m^max_set)).  Raises [Invalid_argument] if [max_set < 1].
 
-    [?incremental] (default true) runs the singleton fixpoints through
-    one persistent {!Conservative.Engine} and prunes the size-2
-    enumeration with cached interference/witness facts; the search
-    trajectory — and hence the result — is identical to the rescan
-    specification path ([incremental:false]).
+    The singleton fixpoints run through one persistent
+    {!Conservative.Engine}, and the size-2 enumeration is pruned with
+    cached interference/witness facts; the search trajectory — and
+    hence the result — is identical to rescanning and enumerating
+    everything (the test-only oracle the differential suite holds this
+    to).
 
-    Prefer {!Strategies.run_cfg} for new call sites: [?max_set] and
-    [?rows] are the [max_set]/[rows] fields of {!Strategies.config}
-    there; this entry point stays as the primitive the dispatcher
-    calls. *)
+    Prefer {!Strategies.run_cfg} for new call sites: [?rows] is the
+    [rows] field of {!Strategies.config} there and [max_set] the size
+    of [Set_conservative]; this entry point stays as the primitive the
+    dispatcher calls. *)
+
+val try_set :
+  k:int -> Coalescing.Speculation.spec -> Problem.affinity list -> bool
+(** [try_set ~k spec set] merges every affinity of [set] on top of the
+    context and keeps the merges iff all are possible and the merged
+    graph stays greedy-k-colorable; otherwise rolls them all back.  The
+    set probe of {!coalesce}, shared with the test-only rescan
+    oracle. *)
 
 val subsets_by_weight :
   int -> Problem.affinity list -> Problem.affinity list list
@@ -47,16 +55,3 @@ val transitive_closure_affinities : Problem.t -> Problem.affinity list
     minimum of the two weights.  Only pairs that do not interfere and
     are not already affinities are returned.  Exposed so strategies can
     widen their affinity set the way Section 4 describes. *)
-
-(** {1 Reference implementation}
-
-    The pre-speculation code path, kept as the baseline for the
-    differential test suite and the old-vs-new benchmark trajectory
-    ([bench --json]): set probes fold persistent merges and every
-    singleton pass rebuilds a fresh flat mirror, where the primary path
-    above keeps the entire search on one
-    {!Coalescing.Speculation} context. *)
-
-module Reference : sig
-  val coalesce : ?max_set:int -> Problem.t -> Coalescing.solution
-end

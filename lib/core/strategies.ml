@@ -82,9 +82,6 @@ type dispatch = Direct | Static_profile
 
 type config = {
   rows : Rc_graph.Flat.rows option;
-  scoring : Optimistic.scoring;
-  max_set : int;
-  incremental : bool;
   check : check_level;
   seed : int;
   dispatch : dispatch;
@@ -94,9 +91,6 @@ type config = {
 let default_config =
   {
     rows = None;
-    scoring = Optimistic.Degree_per_weight;
-    max_set = 2;
-    incremental = true;
     check = No_check;
     seed = 0;
     dispatch = Direct;
@@ -108,7 +102,7 @@ let default_config =
    [set_static_dispatcher] option ref: anything that extends the solve
    path — a second exact solver, a portfolio, the Rc_analysis profile
    router — registers a named entry here, and every front end (solve,
-   sweep, serve, bench) resolves backends through the same table.      *)
+   sweep, serve) resolves backends through the same table.             *)
 (* ------------------------------------------------------------------ *)
 
 module Backend = struct
@@ -189,9 +183,9 @@ let () =
           Portfolio.conservative_race ?stop ?prime p);
     }
 
-let run_chordal_incremental ?rows ~incremental (p : Problem.t) =
+let run_chordal_incremental ?rows (p : Problem.t) =
   if not (Rc_graph.Chordal.is_chordal p.graph) then
-    Conservative.coalesce ?rows ~incremental Conservative.Brute_force p
+    Conservative.coalesce ?rows Conservative.Brute_force p
   else begin
     let by_weight =
       List.sort
@@ -246,7 +240,6 @@ let run_cfg cfg strategy (p : Problem.t) =
   | No_check -> ()
   | Validate_input | Assert_conservative -> validate_input p);
   let rows = cfg.rows in
-  let incremental = cfg.incremental in
   let sol =
     match cfg.dispatch with
     | Static_profile -> (
@@ -262,15 +255,15 @@ let run_cfg cfg strategy (p : Problem.t) =
                Rc_analysis.Dispatch.install first)")
     | Direct -> (
         match strategy with
-    | Aggressive -> Aggressive.coalesce p
-    | Conservative r -> Conservative.coalesce ?rows ~incremental r p
-    | Irc r -> (Irc.allocate ~rule:r p).solution
-    | Optimistic ->
-        Optimistic.coalesce ?rows ~scoring:cfg.scoring ~incremental p
-    | Chordal_incremental -> run_chordal_incremental ?rows ~incremental p
+        | Aggressive -> Aggressive.coalesce p
+        | Conservative r -> Conservative.coalesce ?rows r p
+        | Irc r -> (Irc.allocate ~rule:r p).solution
+        | Optimistic -> Optimistic.coalesce ?rows p
+        | Chordal_incremental -> run_chordal_incremental ?rows p
         | Set_conservative n ->
-            let max_set = if n >= 1 then n else cfg.max_set in
-            Set_coalescing.coalesce ?rows ~max_set ~incremental p
+            (* [Invalid_argument] for n < 1, which [of_string] never
+               yields. *)
+            Set_coalescing.coalesce ?rows ~max_set:n p
         | Exact_conservative ->
             run_backend cfg strategy (Option.value cfg.backend ~default:"bb") p
         | Exact_backend b -> run_backend cfg strategy b p)

@@ -3,12 +3,10 @@
     and the domain-parallel sweep engine ({!Rc_engine.Sweep}).
 
     {!run_cfg} is the single solver entry point: one {!config} record
-    folds the row policy, optimistic scoring, set-coalescing bound,
-    checking level and seed that used to be scattered across the
-    individual searches' optional arguments.  The per-search entry
-    points ([Conservative.coalesce ?rows],
-    [Optimistic.coalesce ?rows ?scoring],
-    [Set_coalescing.coalesce ?rows ?max_set]) remain as the primitives
+    carries the row policy, checking level, seed, dispatch mode and
+    exact backend of a run.  The per-search entry points
+    ([Conservative.coalesce ?rows], [Optimistic.coalesce ?rows],
+    [Set_coalescing.coalesce ?rows ~max_set]) remain as the primitives
     this dispatcher calls — prefer {!run_cfg} in new code. *)
 
 type t =
@@ -24,8 +22,8 @@ type t =
   | Set_conservative of int
       (** brute-force conservative extended with simultaneous coalescing
           of affinity sets up to the given size — the "affinities by
-          transitivity" remedy of Section 4 (see {!Set_coalescing}).  A
-          size [<= 0] defers to {!config.max_set}. *)
+          transitivity" remedy of Section 4 (see {!Set_coalescing}).
+          {!run_cfg} raises [Invalid_argument] on a size [< 1]. *)
   | Exact_conservative
       (** exact optimum through the configured backend
           ({!config.backend}, default ["bb"], the branch-and-bound —
@@ -80,18 +78,6 @@ type config = {
   rows : Rc_graph.Flat.rows option;
       (** row representation for every flat kernel the run builds
           ([None] = the kernel's adaptive default) *)
-  scoring : Optimistic.scoring;  (** optimistic de-coalescing scoring *)
-  max_set : int;
-      (** set-coalescing bound used when the strategy is
-          [Set_conservative n] with [n <= 0] *)
-  incremental : bool;
-      (** solve the conservative fixpoints through the worklist
-          {!Conservative.Engine} with its invalidate-on-merge rule
-          cache ([true], the default) or through the rescan
-          specification loops ([false]).  The two paths produce
-          identical solutions (locked by the differential suite); the
-          flag exists for the cached-vs-uncached benchmark axis and as
-          an escape hatch. *)
   check : check_level;
   seed : int;
       (** provenance: the seed stream that produced this task's
@@ -107,9 +93,8 @@ type config = {
 }
 
 val default_config : config
-(** [{ rows = None; scoring = Degree_per_weight; max_set = 2;
-      incremental = true; check = No_check; seed = 0;
-      dispatch = Direct; backend = None }] *)
+(** [{ rows = None; check = No_check; seed = 0; dispatch = Direct;
+      backend = None }] *)
 
 (** {1 The solver-backend registry}
 
@@ -118,7 +103,7 @@ val default_config : config
     solver, the portfolio racer, the [Rc_analysis] profile router — is
     a named {!Backend.backend} record, and every front end resolves
     names through the same table, so a backend registered once is
-    reachable from [solve], [sweep], [serve] and [bench] alike.
+    reachable from [solve], [sweep] and [serve] alike.
 
     Builtins registered at module initialization: ["bb"] (the
     branch-and-bound), ["pb"] ({!Pb}), ["race"]

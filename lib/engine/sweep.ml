@@ -194,7 +194,7 @@ let leaderboard_of_cells strategies (cells : cell array) =
     rows
 
 let run ?pool ?domains ?(strategies = Strategies.all_heuristics) ?rows
-    ?(incremental = true) ?(check = Strategies.No_check) ~seed preset =
+    ?(check = Strategies.No_check) ~seed preset =
   let t0 = Rc_core.Mclock.now_ns () in
   let root = Seed.of_int seed in
   (* Instances are built once, sequentially, and shared read-only by
@@ -226,13 +226,7 @@ let run ?pool ?domains ?(strategies = Strategies.all_heuristics) ?rows
       if n > ceiling then Capped { ceiling }
       else
         let cfg =
-          {
-            Strategies.default_config with
-            rows;
-            incremental;
-            check;
-            seed = seed_i;
-          }
+          { Strategies.default_config with rows; check; seed = seed_i }
         in
         match Strategies.evaluate_cfg cfg strategy p with
         | r -> Report r

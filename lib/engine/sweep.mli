@@ -110,7 +110,6 @@ val run :
   ?domains:int ->
   ?strategies:Rc_core.Strategies.t list ->
   ?rows:Rc_graph.Flat.rows ->
-  ?incremental:bool ->
   ?check:Rc_core.Strategies.check_level ->
   seed:int ->
   preset ->
@@ -118,10 +117,8 @@ val run :
 (** Runs the sweep.  [pool] reuses an existing pool (its domain count
     wins); otherwise a fresh pool of [domains] (default
     {!Pool.recommended_domains}) is created for the call.  [strategies]
-    defaults to {!Rc_core.Strategies.all_heuristics}; [rows],
-    [incremental] (default true — the worklist engine; [false] selects
-    the rescan specification paths, producing the same canonical
-    report) and [check] are threaded into every cell's
+    defaults to {!Rc_core.Strategies.all_heuristics}; [rows] and
+    [check] are threaded into every cell's
     {!Rc_core.Strategies.config}. *)
 
 val canonical : t -> string

@@ -18,20 +18,20 @@
      [drop_neighbor] (merge grafts, vertex removal and rollback
      included), which keep the summary exact; sparse rows have the
      shared [[||]] summary.
-   - In [Matrix] mode ([bits] non-empty) every row is sparse and [bits]
-     additionally holds the symmetric cap x cap adjacency bitmatrix of
-     PR 1: bit (u, v) at index u * cap + v, set iff (v, u) is set.
+   - Labels ascend with the index: both constructors assign them in
+     increasing order ({!of_graph} from the sorted vertex list,
+     {!create} as the identity), so a walk over live indices visits
+     labels in increasing order — {!to_graph} relies on it.
    - The undo log records primitive operations (edge added, edge
      removed, vertex killed) newest-last; rollback replays inverses
      newest-first.  Logging is active iff [ncheck > 0]. *)
 
-type rows = Auto | Matrix | Sparse_rows | Bitset_rows | Threshold of int
+type rows = Auto | Sparse_rows | Bitset_rows | Threshold of int
 
-(* Shared textual form of the rows policy, so every CLI surface (sweep,
-   bench harnesses) parses the same vocabulary. *)
+(* Shared textual form of the rows policy, so every CLI surface parses
+   the same vocabulary. *)
 let rows_to_string = function
   | Auto -> "auto"
-  | Matrix -> "matrix"
   | Sparse_rows -> "sparse"
   | Bitset_rows -> "bitset"
   | Threshold n -> Printf.sprintf "threshold:%d" n
@@ -39,7 +39,6 @@ let rows_to_string = function
 let rows_of_string s =
   match String.lowercase_ascii s with
   | "auto" -> Some Auto
-  | "matrix" -> Some Matrix
   | "sparse" -> Some Sparse_rows
   | "bitset" -> Some Bitset_rows
   | s -> (
@@ -59,7 +58,6 @@ type t = {
   cap : int;
   words : int; (* 32-bit chunks per dense row: (cap + 31) / 32 *)
   threshold : int; (* promote a sparse row when its degree reaches this *)
-  bits : Bytes.t; (* Matrix mode only; [Bytes.empty] otherwise *)
   adj : int array array; (* sparse rows; [[||]] for dense rows *)
   dense : int array array; (* dense rows; [[||]] for sparse rows *)
   summary : int array array; (* word-occupancy bitmaps of dense rows *)
@@ -132,29 +130,6 @@ let wclear row v =
   Array.unsafe_set row i (Array.unsafe_get row i land lnot (1 lsl (v land 31)))
 
 (* ------------------------------------------------------------------ *)
-(* Matrix-mode bitmatrix                                               *)
-(* ------------------------------------------------------------------ *)
-
-let get_bit t u v =
-  let i = (u * t.cap) + v in
-  Char.code (Bytes.unsafe_get t.bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
-
-let set_bit1 t u v =
-  let i = (u * t.cap) + v in
-  Bytes.unsafe_set t.bits (i lsr 3)
-    (Char.unsafe_chr
-       (Char.code (Bytes.unsafe_get t.bits (i lsr 3)) lor (1 lsl (i land 7))))
-
-let clear_bit1 t u v =
-  let i = (u * t.cap) + v in
-  Bytes.unsafe_set t.bits (i lsr 3)
-    (Char.unsafe_chr
-       (Char.code (Bytes.unsafe_get t.bits (i lsr 3))
-       land lnot (1 lsl (i land 7))))
-
-let has_matrix t = Bytes.length t.bits <> 0
-
-(* ------------------------------------------------------------------ *)
 (* Basic queries                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -186,21 +161,19 @@ let row_mem t u v =
     go 0
 
 let mem_edge t u v =
-  if has_matrix t then get_bit t u v
+  let du = Array.unsafe_get t.dense u in
+  if Array.length du <> 0 then wget du v
   else
-    let du = Array.unsafe_get t.dense u in
-    if Array.length du <> 0 then wget du v
-    else
-      let dv = Array.unsafe_get t.dense v in
-      if Array.length dv <> 0 then wget dv u
-      else begin
-        (* Both sparse: scan the shorter row.  Its length is below the
-           promotion threshold, so this probe is threshold-bounded. *)
-        let u, v = if t.len.(u) <= t.len.(v) then (u, v) else (v, u) in
-        let a = t.adj.(u) and n = t.len.(u) in
-        let rec go i = i < n && (Array.unsafe_get a i = v || go (i + 1)) in
-        go 0
-      end
+    let dv = Array.unsafe_get t.dense v in
+    if Array.length dv <> 0 then wget dv u
+    else begin
+      (* Both sparse: scan the shorter row.  Its length is below the
+         promotion threshold, so this probe is threshold-bounded. *)
+      let u, v = if t.len.(u) <= t.len.(v) then (u, v) else (v, u) in
+      let a = t.adj.(u) and n = t.len.(u) in
+      let rec go i = i < n && (Array.unsafe_get a i = v || go (i + 1)) in
+      go 0
+    end
 
 let check_index t name v =
   if v < 0 || v >= t.cap then
@@ -493,20 +466,12 @@ let drop_neighbor t u v =
   t.len.(u) <- t.len.(u) - 1
 
 let raw_add_edge t u v =
-  if has_matrix t then begin
-    set_bit1 t u v;
-    set_bit1 t v u
-  end;
   push_neighbor t u v;
   push_neighbor t v u;
   t.epoch <- t.epoch + 1;
   t.nedges <- t.nedges + 1
 
 let raw_remove_edge t u v =
-  if has_matrix t then begin
-    clear_bit1 t u v;
-    clear_bit1 t v u
-  end;
   t.epoch <- t.epoch + 1;
   drop_neighbor t u v;
   drop_neighbor t v u;
@@ -708,20 +673,11 @@ let make_raw ~rows ~cap ~labels ~row_caps =
         (* Memory parity: a dense row costs [words] ints, a sparse row
            one int per neighbor — promote where the two meet. *)
         max 4 words
-    | Matrix | Sparse_rows -> max_int
+    | Sparse_rows -> max_int
     | Bitset_rows -> 0
     | Threshold n ->
         if n < 0 then invalid_arg "Flat: negative promotion threshold";
         n
-  in
-  let bits =
-    match rows with
-    | Matrix ->
-        if cap > 65536 then
-          invalid_arg
-            "Flat: Matrix rows need cap^2 bits; use Auto past 65536 vertices";
-        Bytes.make (((cap * cap) + 7) / 8) '\000'
-    | Auto | Sparse_rows | Bitset_rows | Threshold _ -> Bytes.empty
   in
   let dense = Array.make cap [||] in
   let summary = Array.make cap [||] in
@@ -740,7 +696,6 @@ let make_raw ~rows ~cap ~labels ~row_caps =
       cap;
       words;
       threshold;
-      bits;
       adj;
       dense;
       summary;
@@ -803,26 +758,29 @@ let of_graph ?(rows = Auto) g =
     (fun iu u ->
       Graph.ISet.iter
         (fun v ->
-          let iv = translate v in
-          if has_matrix t then set_bit1 t iu iv;
-          push_neighbor t iu iv)
+          push_neighbor t iu (translate v))
         (Graph.neighbors g u))
     labels;
   t.nedges <- Array.fold_left ( + ) 0 t.len / 2;
   t
 
+(* One bulk build.  Bindings are collected from the highest index
+   down, so the list comes out in increasing label order (labels ascend
+   with the index); [of_sorted_adjacency] re-checks the symmetry. *)
 let to_graph t =
-  let g = ref Graph.empty in
-  iter_live t (fun v -> g := Graph.add_vertex !g t.labels.(v));
-  iter_live t (fun u ->
-      iter_neighbors t u (fun v ->
-          if u < v then g := Graph.add_edge !g t.labels.(u) t.labels.(v)));
-  !g
+  let bindings = ref [] in
+  for v = t.cap - 1 downto 0 do
+    if is_live t v then begin
+      let ns = ref [] in
+      iter_neighbors t v (fun u -> ns := t.labels.(u) :: !ns);
+      bindings := (t.labels.(v), !ns) :: !bindings
+    end
+  done;
+  Graph.of_sorted_adjacency !bindings
 
 let copy t =
   {
     t with
-    bits = Bytes.copy t.bits;
     adj = Array.map Array.copy t.adj;
     dense =
       Array.map (fun d -> if Array.length d = 0 then d else Array.copy d) t.dense;
@@ -864,8 +822,6 @@ let check_invariants t =
   let edges = ref 0 in
   for u = 0 to t.cap - 1 do
     let d = t.dense.(u) in
-    if Array.length d <> 0 && has_matrix t then
-      fail "vertex %d has a dense row in Matrix mode" u;
     if not (is_live t u) then begin
       if t.len.(u) <> 0 then fail "dead vertex %d has degree %d" u t.len.(u);
       Array.iteri
@@ -909,25 +865,12 @@ let check_invariants t =
       for i = 0 to t.len.(u) - 1 do
         let v = t.adj.(u).(i) in
         if not (is_live t v) then fail "edge (%d, %d) to dead vertex" u v;
-        if has_matrix t && not (get_bit t u v) then
-          fail "adjacency (%d, %d) missing bit" u v;
         if not (row_mem t v u) then fail "asymmetric adjacency (%d, %d)" u v;
         if u < v then incr edges;
         for j = i + 1 to t.len.(u) - 1 do
           if t.adj.(u).(j) = v then fail "duplicate neighbor %d of %d" v u
         done
-      done;
-      if has_matrix t then
-        for v = 0 to t.cap - 1 do
-          if get_bit t u v then begin
-            if not (get_bit t v u) then fail "asymmetric bit (%d, %d)" u v;
-            let found = ref false in
-            for i = 0 to t.len.(u) - 1 do
-              if t.adj.(u).(i) = v then found := true
-            done;
-            if not !found then fail "bit (%d, %d) without adjacency entry" u v
-          end
-        done
+      done
     end
   done;
   if !edges <> t.nedges then
@@ -983,10 +926,6 @@ let check_vertex t v =
     for i = 0 to n - 1 do
       let u = t.adj.(v).(i) in
       if not (is_live t u) then fail "edge (%d, %d) to dead vertex" v u;
-      if has_matrix t then begin
-        if not (get_bit t v u) then fail "adjacency (%d, %d) missing bit" v u;
-        if not (get_bit t u v) then fail "asymmetric bit (%d, %d)" v u
-      end;
       if not (row_mem t u v) then fail "asymmetric adjacency (%d, %d)" v u;
       for j = i + 1 to n - 1 do
         if t.adj.(v).(j) = u then fail "duplicate neighbor %d of %d" u v
@@ -1000,18 +939,15 @@ let check_vertex t v =
 
 module Fault = struct
   let drop_bit t u v =
-    if has_matrix t then clear_bit1 t u v
+    let d = t.dense.(u) in
+    if Array.length d <> 0 then wclear d v
     else begin
-      let d = t.dense.(u) in
-      if Array.length d <> 0 then wclear d v
-      else begin
-        (* Sparse directed drop: overwrite the entry with the last one
-           without shrinking the degree, leaving a duplicate. *)
-        let a = t.adj.(u) in
-        let rec find i = if a.(i) = v then i else find (i + 1) in
-        let i = find 0 in
-        a.(i) <- a.(t.len.(u) - 1)
-      end
+      (* Sparse directed drop: overwrite the entry with the last one
+         without shrinking the degree, leaving a duplicate. *)
+      let a = t.adj.(u) in
+      let rec find i = if a.(i) = v then i else find (i + 1) in
+      let i = find 0 in
+      a.(i) <- a.(t.len.(u) - 1)
     end
 
   let drop_adjacency t u v = drop_neighbor t u v

@@ -23,11 +23,8 @@
     translate between the two worlds, and {!to_graph} converts back.
     All operations below speak {e indices}, not original vertex ids.
 
-    Memory is O(capacity + edges) words — the historical
-    [capacity^2 / 8]-byte global bitmatrix survives only as the
-    explicit {!Matrix} mode (the PR 1 layout, kept as a benchmark
-    baseline), which is refused past 65536 vertices.  The adaptive
-    default scales to 10^5-vertex challenge instances.
+    Memory is O(capacity + edges) words; the adaptive default scales to
+    10^5-vertex challenge instances.
 
     Mutability discipline: a [Flat.t] is single-owner mutable state.
     Functions in this library that accept one never retain it. *)
@@ -43,8 +40,6 @@ type checkpoint
       bitset when its degree reaches [max 4 ((capacity + 31) / 32)] —
       the memory-parity point where a bitset row costs no more than
       the int row it replaces.
-    - [Matrix]: all rows sparse, plus the PR 1 global cap^2 bitmatrix
-      for O(1) membership.  [Invalid_argument] past 65536 vertices.
     - [Sparse_rows]: int rows only; membership scans the shorter row.
     - [Bitset_rows]: every row a bitset from birth.
     - [Threshold n]: adaptive with an explicit promotion degree [n].
@@ -52,11 +47,11 @@ type checkpoint
     Promotion preserves the edge set, so it commutes with the undo log:
     rolling back past a promotion simply leaves the row dense with
     fewer bits.  Rows are never demoted. *)
-type rows = Auto | Matrix | Sparse_rows | Bitset_rows | Threshold of int
+type rows = Auto | Sparse_rows | Bitset_rows | Threshold of int
 
 val rows_of_string : string -> rows option
 (** Shared textual form of the policy, used by every CLI surface:
-    ["auto" | "matrix" | "sparse" | "bitset" | "threshold:<n>"]
+    ["auto" | "sparse" | "bitset" | "threshold:<n>"]
     (case-insensitive).  [None] on anything else. *)
 
 val rows_to_string : rows -> string
@@ -75,7 +70,8 @@ val of_graph : ?rows:rows -> Graph.t -> t
     threshold as bitsets directly. *)
 
 val to_graph : t -> Graph.t
-(** Persistent snapshot of the live part, with original labels. *)
+(** Persistent snapshot of the live part, with original labels, built
+    in one bulk pass ({!Graph.of_sorted_adjacency}). *)
 
 val copy : t -> t
 (** Independent copy (the undo log is not copied). *)
@@ -99,8 +95,7 @@ val num_live : t -> int
 val num_edges : t -> int
 
 val mem_edge : t -> int -> int -> bool
-(** O(1) when either endpoint's row is a bitset (or in [Matrix] mode);
-    otherwise a scan of the shorter row, whose length is bounded by the
+(** O(1) when either endpoint's row is a bitset; otherwise a scan of the shorter row, whose length is bounded by the
     promotion threshold. *)
 
 val degree : t -> int -> int
@@ -311,9 +306,8 @@ val check_vertex : t -> int -> unit
 (** {1 Debug} *)
 
 val check_invariants : t -> unit
-(** Verifies row/degree/edge-count consistency for both row forms (and
-    the bitmatrix in [Matrix] mode); raises [Failure] with a
-    description on corruption.  Tests only. *)
+(** Verifies row/degree/edge-count consistency for both row forms;
+    raises [Failure] with a description on corruption.  Tests only. *)
 
 (** Deliberate corruption, for mutation tests of the checking layer —
     each primitive violates exactly one representation invariant so
@@ -321,8 +315,7 @@ val check_invariants : t -> unit
     outside tests. *)
 module Fault : sig
   val drop_bit : t -> int -> int -> unit
-  (** Directed membership drop on [u]'s side only.  [Matrix] mode:
-      clears the directed bit (u, v).  Bitset row: clears [u]'s bit of
+  (** Directed membership drop on [u]'s side only.  Bitset row: clears [u]'s bit of
       [v], leaving the cached degree (and [v]'s row) stale.  Sparse
       row: overwrites the entry with the row's last one without
       shrinking the degree — undetectable in the edge case where [v]
@@ -330,7 +323,7 @@ module Fault : sig
 
   val drop_adjacency : t -> int -> int -> unit
   (** Removes [v] from [u]'s row {e and} decrements the degree, leaving
-      the reverse row (or the bitmatrix) claiming the edge exists. *)
+      the reverse row claiming the edge exists. *)
 
   val smash_row_word : t -> int -> int -> unit
   (** [smash_row_word t v i] flips all 32 bits of word [i] of a bitset

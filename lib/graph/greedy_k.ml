@@ -267,14 +267,13 @@ let coloring_number g =
     1 + flat_smallest_last f ~order
 
 (* ------------------------------------------------------------------ *)
-(* Reference implementations on the persistent representation.  These
-   are the pre-flat-kernel code paths, kept verbatim as the baseline
-   for the equivalence property tests and the old-vs-new benchmark
-   trajectory (bench/main.ml, BENCH_*.json).                           *)
+(* Reference elimination on the persistent representation: the
+   pre-flat-kernel code path, kept as the independent re-derivation
+   the certifier (Rc_check.Certify) checks answers with.               *)
 (* ------------------------------------------------------------------ *)
 
 module Reference = struct
-  let eliminate g k =
+  let is_greedy_k_colorable g k =
     let degrees =
       List.fold_left (fun m v -> IMap.add v (Graph.degree g v) m) IMap.empty
         (Graph.vertices g)
@@ -282,11 +281,11 @@ module Reference = struct
     let low =
       IMap.fold (fun v d acc -> if d < k then v :: acc else acc) degrees []
     in
-    let rec loop removed degrees low order =
+    let rec loop removed degrees low =
       match low with
-      | [] -> (List.rev order, removed)
+      | [] -> removed
       | v :: low ->
-          if ISet.mem v removed then loop removed degrees low order
+          if ISet.mem v removed then loop removed degrees low
           else
             let removed = ISet.add v removed in
             let degrees, low =
@@ -300,58 +299,7 @@ module Reference = struct
                     (degrees, low))
                 (Graph.neighbors g v) (degrees, low)
             in
-            loop removed degrees low (v :: order)
+            loop removed degrees low
     in
-    loop ISet.empty degrees low []
-
-  let elimination_order g k =
-    let order, removed = eliminate g k in
-    if ISet.cardinal removed = Graph.num_vertices g then Some order else None
-
-  let is_greedy_k_colorable g k = elimination_order g k <> None
-
-  let smallest_last_order g =
-    let degrees =
-      List.fold_left (fun m v -> IMap.add v (Graph.degree g v) m) IMap.empty
-        (Graph.vertices g)
-    in
-    let rec loop degrees acc =
-      if IMap.is_empty degrees then List.rev acc
-      else
-        let v, _ =
-          IMap.fold
-            (fun v d best ->
-              match best with
-              | Some (_, bd) when bd <= d -> best
-              | _ -> Some (v, d))
-            degrees None
-          |> function
-          | Some b -> b
-          | None -> assert false
-        in
-        let degrees =
-          ISet.fold
-            (fun u m ->
-              match IMap.find_opt u m with
-              | Some d -> IMap.add u (d - 1) m
-              | None -> m)
-            (Graph.neighbors g v) (IMap.remove v degrees)
-        in
-        loop degrees (v :: acc)
-    in
-    loop degrees []
-
-  let coloring_number g =
-    if Graph.num_vertices g = 0 then 0
-    else
-      let order = smallest_last_order g in
-      let remaining = ref (Graph.vertex_set g) in
-      let worst = ref 0 in
-      List.iter
-        (fun v ->
-          let d = ISet.cardinal (ISet.inter (Graph.neighbors g v) !remaining) in
-          if d > !worst then worst := d;
-          remaining := ISet.remove v !remaining)
-        order;
-      !worst + 1
+    ISet.cardinal (loop ISet.empty degrees low) = Graph.num_vertices g
 end

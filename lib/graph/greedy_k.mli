@@ -74,15 +74,12 @@ val flat_smallest_last : Flat.t -> order:int array -> int
     [capacity]-sized) and returns the degeneracy, i.e. col(G) - 1.
     Returns 0 on an empty graph. *)
 
-(** {1 Reference implementations}
+(** {1 Reference implementation}
 
-    The pre-flat-kernel code paths on the persistent {!Graph}
-    representation, kept as the baseline for equivalence property tests
-    and the old-vs-new benchmark trajectory ([bench --json]). *)
+    The pre-flat-kernel elimination on the persistent {!Graph}
+    representation, kept as the independent re-derivation the
+    certifier ([Rc_check.Certify]) checks answers with. *)
 
 module Reference : sig
   val is_greedy_k_colorable : Graph.t -> int -> bool
-  val elimination_order : Graph.t -> int -> Graph.vertex list option
-  val smallest_last_order : Graph.t -> Graph.vertex list
-  val coloring_number : Graph.t -> int
 end

@@ -278,7 +278,9 @@ let split_safe_strategies =
   ]
 
 let rows_policies =
-  [| None; Some Flat.Matrix; Some Flat.Sparse_rows; Some Flat.Bitset_rows |]
+  [|
+    None; Some (Flat.Threshold 2); Some Flat.Sparse_rows; Some Flat.Bitset_rows;
+  |]
 
 let check_split_differential seed =
   let p = diff_problem seed in

@@ -30,7 +30,7 @@ module Coalescing = Rc_core.Coalescing
 module Chordal_coalescing = Rc_core.Chordal_coalescing
 module Strategies = Rc_core.Strategies
 module Challenge = Rc_challenge.Challenge
-module Oracle = Clique_tree_oracle
+module Oracle = Rc_oracle.Clique_tree_oracle
 
 let run_seeds = Qcheck_gen.run_seeds
 

@@ -156,11 +156,10 @@ let test_run_cfg_equiv () =
       same "set-2"
         (Strategies.run_cfg cfg (Strategies.Set_conservative 2) p)
         (Rc_core.Set_coalescing.coalesce ~max_set:2 p);
-      (* max_set <= 0 defers to the config's default. *)
-      same "set-cfg-default"
-        (Strategies.run_cfg { cfg with max_set = 3 }
-           (Strategies.Set_conservative 0) p)
-        (Rc_core.Set_coalescing.coalesce ~max_set:3 p))
+      (* A set size below 1 is a typed error, never a silent default. *)
+      match Strategies.run_cfg cfg (Strategies.Set_conservative 0) p with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail "set-0 accepted")
 
 let test_of_string () =
   List.iter

@@ -1,8 +1,7 @@
 (* Representation-differential lockdown of the adaptive Flat kernel.
 
    PR 4 split Flat's adjacency into per-row representations — sparse
-   int rows, bitset rows, in-place promotion between them, plus the
-   historical global bitmatrix kept as the [Matrix] baseline.  Every
+   int rows, bitset rows and in-place promotion between them.  Every
    mode must describe the same graph under every operation sequence:
    this suite replays seeded random mutation scripts (add/remove/merge/
    remove_vertex under nested checkpoint/rollback/release) through one
@@ -26,16 +25,15 @@ let () =
   if Sanitize.install_if_enabled () then
     print_endline "test_flat_bitset: kernel sanitizer enabled"
 
-(* Every row policy under test.  [Matrix] is the PR 1 layout — the
-   known-good baseline the adaptive modes are differenced against;
+(* Every row policy under test.  [Sparse_rows] (plain int rows, no
+   promotion) is the baseline the other modes are differenced against;
    [Threshold 2] forces promotions to happen mid-script on almost every
    row, exercising the sparse->dense transition inside speculation
    scopes. *)
 let reprs =
   [
-    ("auto", Flat.Auto);
-    ("matrix", Flat.Matrix);
     ("sparse-rows", Flat.Sparse_rows);
+    ("auto", Flat.Auto);
     ("bitset-rows", Flat.Bitset_rows);
     ("threshold-2", Flat.Threshold 2);
   ]
@@ -284,11 +282,22 @@ let test_promotion () =
   (* of_graph pre-sizes: a clique past the threshold is born dense. *)
   let q = Flat.of_graph (G.clique 6) in
   check "of_graph promotes eagerly" true (Flat.row_is_dense q 0);
-  Flat.check_invariants q;
-  (* Matrix mode refuses challenge-scale capacities. *)
-  match Flat.create ~rows:Flat.Matrix 65537 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "Matrix mode accepted cap > 65536"
+  Flat.check_invariants q
+
+(* The one textual spelling of the row policies, shared by every CLI
+   flag: each policy round-trips, input is case-insensitive, and the
+   retired [matrix] layout and malformed thresholds are refused. *)
+let test_rows_vocabulary () =
+  List.iter
+    (fun rows ->
+      let s = Flat.rows_to_string rows in
+      check (s ^ " round-trips") true (Flat.rows_of_string s = Some rows);
+      check (s ^ " uppercase") true
+        (Flat.rows_of_string (String.uppercase_ascii s) = Some rows))
+    Flat.[ Auto; Sparse_rows; Bitset_rows; Threshold 0; Threshold 17 ];
+  List.iter
+    (fun s -> check (s ^ " refused") true (Flat.rows_of_string s = None))
+    [ "matrix"; "MATRIX"; "threshold:"; "threshold:-1"; "threshold:x"; "" ]
 
 (* ------------------------------------------------------------------ *)
 (* Nested checkpoint stress                                            *)
@@ -410,6 +419,8 @@ let () =
           Alcotest.test_case "promotion policy" `Quick test_promotion;
           Alcotest.test_case "nested checkpoint stress (40 seeds)" `Quick
             test_nested_stress;
+          Alcotest.test_case "rows vocabulary round trip" `Quick
+            test_rows_vocabulary;
         ] );
       ( "checking",
         [

@@ -744,7 +744,7 @@ let prop_flat_greedy_k_agrees =
     ~count:200 gnp_arbitrary (fun (seed, n, p) ->
       let rng = Random.State.make [| seed; 17 |] in
       let g = Generators.gnp rng ~n ~p in
-      let col_ref = Greedy_k.Reference.coloring_number g in
+      let col_ref = Rc_oracle.Reference.Greedy_k.coloring_number g in
       Greedy_k.coloring_number g = col_ref
       && List.for_all
            (fun k ->

@@ -3,11 +3,11 @@
    The engine (Conservative.Engine + Rule_cache + Worklist) claims to
    produce the *identical* merge sequence as the rescan fixpoint while
    doing per-pass work proportional to the dirty set.  This suite holds
-   it to that:
+   it to that, against the test-only rescan oracle (oracle/rescan.ml):
 
    - 200+ seeded instances per rule family, incremental vs rescan, with
-     the row policy rotating across matrix / sparse / bitset / auto so
-     every physical representation goes through the cache paths;
+     the row policy rotating across threshold / sparse / bitset / auto
+     so every physical representation goes through the cache paths;
    - a rollback-invalidation stress: external speculative merges and
      nested checkpoints driven over an engine-attached cache, verifying
      the cache's counters, movelists and buckets survive rollback
@@ -30,6 +30,7 @@ module Rule_cache = Rc_core.Rule_cache
 module Worklist = Rc_core.Worklist
 module Strategies = Rc_core.Strategies
 module Chordal = Rc_graph.Chordal
+module Rescan = Rc_oracle.Rescan
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -44,11 +45,12 @@ let all_rules =
     [ Briggs; George; Briggs_george; Briggs_george_extended; Brute_force ]
 
 (* Rotate the physical row representation with the seed so each policy
-   sees a share of every property. *)
+   sees a share of every property; [Threshold 2] promotes rows to
+   bitsets mid-run. *)
 let rows_of_seed seed =
   match seed mod 4 with
   | 0 -> Flat.Auto
-  | 1 -> Flat.Matrix
+  | 1 -> Flat.Threshold 2
   | 2 -> Flat.Sparse_rows
   | _ -> Flat.Bitset_rows
 
@@ -77,10 +79,10 @@ let test_conservative_differential () =
       List.iter
         (fun rule ->
           let a =
-            Conservative.coalesce_state ~rows ~incremental:true rule ~k:p.k
+            Conservative.coalesce_state ~rows rule ~k:p.k
               (Coalescing.initial p.graph) p.affinities
           and b =
-            Conservative.coalesce_state ~rows ~incremental:false rule ~k:p.k
+            Rescan.conservative_state ~rows rule ~k:p.k
               (Coalescing.initial p.graph) p.affinities
           in
           assert_same_solution (Conservative.rule_name rule) p a b)
@@ -97,8 +99,8 @@ let test_conservative_differential_dense () =
       let rows = rows_of_seed seed in
       List.iter
         (fun rule ->
-          let a = Conservative.coalesce ~rows ~incremental:true rule p
-          and b = Conservative.coalesce ~rows ~incremental:false rule p in
+          let a = Conservative.coalesce ~rows rule p
+          and b = Rescan.conservative ~rows rule p in
           assert_same_solution
             (Conservative.rule_name rule)
             p a.Coalescing.state b.Coalescing.state)
@@ -189,8 +191,7 @@ let test_rollback_stress () =
       done;
       (* Final cross-check against an untouched rescan. *)
       let b =
-        Conservative.coalesce_state ~rows ~incremental:false
-          Conservative.Briggs_george ~k:p.k
+        Rescan.conservative_state ~rows Conservative.Briggs_george ~k:p.k
           (Coalescing.initial p.graph)
           p.affinities
       in
@@ -200,16 +201,16 @@ let test_rollback_stress () =
 (* Search-layer differentials                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* The set search's incremental path prunes the pair enumeration with
-   cached interference facts and brute-force witnesses; its trajectory
-   must be *identical* to the rescan specification path, so the full
-   solutions must agree. *)
+(* The set search prunes the pair enumeration with cached interference
+   facts and brute-force witnesses; its trajectory must be *identical*
+   to the rescan oracle's full enumeration, so the full solutions must
+   agree. *)
 let test_set_differential () =
   run_seeds ~name:"set-incremental-vs-rescan" ~count:60 (fun seed ->
       let p = Qcheck_gen.problem ~n:26 ~n_affinities:20 seed in
       let rows = rows_of_seed seed in
-      let a = Set_coalescing.coalesce ~rows ~incremental:true p
-      and b = Set_coalescing.coalesce ~rows ~incremental:false p in
+      let a = Set_coalescing.coalesce ~rows p
+      and b = Rescan.set ~rows ~max_set:2 p in
       assert_same_solution "set search" p a.Coalescing.state
         b.Coalescing.state)
 
@@ -220,14 +221,13 @@ let test_optimistic_differential () =
   run_seeds ~name:"optimistic-incremental-vs-rescan" ~count:60 (fun seed ->
       let p = Qcheck_gen.problem ~n:32 ~n_affinities:26 seed in
       let rows = rows_of_seed seed in
-      let a = Optimistic.coalesce ~rows ~incremental:true p
-      and b = Optimistic.coalesce ~rows ~incremental:false p in
+      let a = Optimistic.coalesce ~rows p
+      and b = Rescan.optimistic ~rows p in
       assert_same_solution "optimistic" p a.Coalescing.state
         b.Coalescing.state)
 
 (* Chordal-incremental answers non-chordal input with the brute-force
-   fixpoint; that fallback must honour [incremental] like every other
-   strategy, and the engine must agree with the rescan there too. *)
+   fixpoint on the engine; it must agree with the rescan there too. *)
 let test_chordal_fallback_differential () =
   run_seeds ~name:"chordal-fallback-incremental-vs-rescan" ~count:40
     (fun seed ->
@@ -238,18 +238,14 @@ let test_chordal_fallback_differential () =
       if Chordal.is_chordal p.graph then
         Alcotest.failf "seed %d: expected a non-chordal instance" seed;
       let rows = rows_of_seed seed in
-      let run incremental =
+      let cached =
         Strategies.run_cfg
-          { Strategies.default_config with rows = Some rows; incremental }
+          { Strategies.default_config with rows = Some rows }
           Strategies.Chordal_incremental p
       in
-      let spec =
-        Conservative.coalesce ~rows ~incremental:false Conservative.Brute_force p
-      in
+      let spec = Rescan.conservative ~rows Conservative.Brute_force p in
       assert_same_solution "chordal-incremental, cached" p
-        (run true).Coalescing.state spec.Coalescing.state;
-      assert_same_solution "chordal-incremental, rescan" p
-        (run false).Coalescing.state spec.Coalescing.state)
+        cached.Coalescing.state spec.Coalescing.state)
 
 (* ------------------------------------------------------------------ *)
 (* Incremental elimination order                                       *)
@@ -440,7 +436,7 @@ let test_hybrid_iteration () =
               Flat.iter_row_hybrid f v (fun u -> hybrid := u :: !hybrid);
               check "hybrid walk = plain walk" true
                 (List.sort compare !plain = List.sort compare !hybrid)))
-        [ Flat.Auto; Flat.Matrix; Flat.Bitset_rows; Flat.Threshold 1 ])
+        [ Flat.Auto; Flat.Sparse_rows; Flat.Bitset_rows; Flat.Threshold 1 ])
 
 let () =
   Alcotest.run "incremental"

@@ -245,6 +245,47 @@ let test_race_clustered_scale () =
   let sol = Portfolio.conservative_race p in
   assert_valid "clustered race" p sol
 
+(* The 10k sweep preset end to end: two monolithic 10^4-vertex
+   synthetic instances and one clustered instance (500 gadgets x 20
+   vertices).  Branch-and-bound [exact] is ceilinged far below 10^4, so
+   its clustered cell is Capped; [exact:race] refuses the monolithic
+   instance (one union component over the reach: Failed, not a hang)
+   and solves the clustered one. *)
+let test_race_10k_preset () =
+  let preset =
+    match Rc_engine.Sweep.preset_of_string "10k" with
+    | Ok p -> p
+    | Error m -> Alcotest.fail m
+  in
+  let t =
+    Rc_engine.Sweep.run ~domains:2
+      ~strategies:
+        [ Strategies.Exact_conservative; Strategies.Exact_backend "race" ]
+      ~seed:2026 preset
+  in
+  let outcome sname i =
+    match
+      Array.find_opt
+        (fun (c : Rc_engine.Sweep.cell) ->
+          c.strategy = sname && c.instance = i)
+        t.Rc_engine.Sweep.cells
+    with
+    | Some c -> c.Rc_engine.Sweep.outcome
+    | None -> Alcotest.failf "missing sweep cell %s #%d" sname i
+  in
+  (match outcome "exact" 2 with
+  | Rc_engine.Sweep.Capped _ -> ()
+  | _ -> Alcotest.fail "bb exact on the clustered 10^4 cell is not Capped");
+  (match outcome "exact:race" 0 with
+  | Rc_engine.Sweep.Failed m ->
+      check "refusal names the reach" true (contains m "reach")
+  | _ -> Alcotest.fail "exact:race did not refuse the monolithic 10^4 cell");
+  match outcome "exact:race" 2 with
+  | Rc_engine.Sweep.Report r ->
+      check "clustered cell answered conservatively" true r.conservative;
+      check "clustered cell coalesces something" true (r.coalesced_weight > 0)
+  | _ -> Alcotest.fail "exact:race did not solve the clustered 10^4 cell"
+
 (* ------------------------------------------------------------------ *)
 (* Race mechanics (Portfolio.race directly)                            *)
 (* ------------------------------------------------------------------ *)
@@ -530,6 +571,8 @@ let () =
             test_race_reach_refusal;
           Alcotest.test_case "clustered decomposition at scale" `Quick
             test_race_clustered_scale;
+          Alcotest.test_case "10k preset: bb capped, race refuses and solves"
+            `Quick test_race_10k_preset;
         ] );
       ( "mechanics",
         [

@@ -2,14 +2,15 @@
 
    PR 2 moved the merge-heavy searches (Optimistic de-coalescing, Exact
    branch-and-bound, Set_coalescing) onto the Flat checkpoint/rollback
-   speculation context.  Each driver kept its persistent-graph
-   implementation as a [Reference] submodule; this suite replays >= 200
-   seeded random instances per algorithm through both paths and demands
-   they agree on the removed-affinity weight, plus an independent
-   brute-force oracle for the exact search so the suffix-weight pruning
-   bound can never silently over-prune.  The persistent merge state the
-   searches commit to is itself held to its test-only oracle
-   (coalescing_oracle.ml) step by step on seeded merge scripts. *)
+   speculation context.  Their persistent-graph implementations live on
+   as the test-only oracle library (oracle/reference.ml); this suite
+   replays >= 200 seeded random instances per algorithm through both
+   and demands they agree on the removed-affinity weight, plus an
+   independent brute-force oracle for the exact search so the
+   suffix-weight pruning bound can never silently over-prune.  The
+   persistent merge state the searches commit to is itself held to its
+   oracle (oracle/coalescing_oracle.ml) step by step on seeded merge
+   scripts. *)
 
 module G = Rc_graph.Graph
 module Greedy_k = Rc_graph.Greedy_k
@@ -20,6 +21,7 @@ module Aggressive = Rc_core.Aggressive
 module Optimistic = Rc_core.Optimistic
 module Exact = Rc_core.Exact
 module Set_coalescing = Rc_core.Set_coalescing
+module Reference = Rc_oracle.Reference
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -77,7 +79,7 @@ let test_optimistic_differential () =
     let p = random_problem ~n:12 ~n_affinities:6 seed in
     let scoring = scoring_of_seed seed in
     let flat = Optimistic.coalesce ~scoring p in
-    let reference = Optimistic.Reference.coalesce ~scoring p in
+    let reference = Reference.Optimistic.coalesce ~scoring p in
     check_int
       (Printf.sprintf "optimistic weight (seed %d)" seed)
       (weight reference) (weight flat);
@@ -97,7 +99,7 @@ let test_decoalesce_differential () =
     in
     let reference =
       Coalescing.solution_of_state p
-        (Optimistic.Reference.decoalesce_greedy ~scoring p st0)
+        (Reference.Optimistic.decoalesce_greedy ~scoring p st0)
     in
     check_int
       (Printf.sprintf "decoalesce weight (seed %d)" seed)
@@ -112,14 +114,14 @@ let test_exact_differential () =
   run_seeds ~name:"exact_differential" ~count:200 (fun seed ->
     let p = random_problem ~n:10 ~n_affinities:6 seed in
     let flat = Exact.conservative p in
-    let reference = Exact.Reference.conservative p in
+    let reference = Reference.Exact.conservative p in
     check_int
       (Printf.sprintf "exact conservative weight (seed %d)" seed)
       (weight reference) (weight flat);
     assert_valid (Printf.sprintf "exact conservative (seed %d)" seed) p flat;
     check_int
       (Printf.sprintf "exact aggressive weight (seed %d)" seed)
-      (weight (Exact.Reference.aggressive p))
+      (weight (Reference.Exact.aggressive p))
       (weight (Exact.aggressive p)))
 
 let test_exact_k_colorable_differential () =
@@ -128,7 +130,7 @@ let test_exact_k_colorable_differential () =
     let p = random_problem ~n:8 ~n_affinities:4 seed in
     check_int
       (Printf.sprintf "exact k-colorable weight (seed %d)" seed)
-      (weight (Exact.Reference.conservative_k_colorable p))
+      (weight (Reference.Exact.conservative_k_colorable p))
       (weight (Exact.conservative_k_colorable p)))
 
 (* Brute-force optimality oracle: enumerate all 2^m affinity subsets,
@@ -179,7 +181,7 @@ let test_set_differential () =
     let p = random_problem ~n:12 ~n_affinities:6 seed in
     let max_set = 2 + (seed mod 2) in
     let flat = Set_coalescing.coalesce ~max_set p in
-    let reference = Set_coalescing.Reference.coalesce ~max_set p in
+    let reference = Reference.Set_coalescing.coalesce ~max_set p in
     check_int
       (Printf.sprintf "set-%d weight (seed %d)" max_set seed)
       (weight reference) (weight flat);
@@ -252,7 +254,7 @@ let test_subsets_by_weight () =
 (* Merge state vs the per-merge rewrite oracle                         *)
 (* ------------------------------------------------------------------ *)
 
-module Oracle = Coalescing_oracle
+module Oracle = Rc_oracle.Coalescing_oracle
 
 (* Every observable of the class-local state must equal the oracle's. *)
 let assert_same_state ctx vs st o =
