@@ -176,15 +176,27 @@ let bin_error_to_string = function
 
 type bigview = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-(* A decoded-and-validated instance whose edge/affinity sections still
-   live in the (possibly mmap-ed) backing store: iteration reads the
-   Bigarray directly, no per-element boxing or copying. *)
+(* Where an encoding's 32-bit words live: inside a string from a byte
+   offset on (a request payload, possibly in the middle of a larger
+   read buffer), or in an int32 Bigarray (an mmap-ed file).  Every read
+   goes through [word], so the validator and the loaders have one body
+   for both backings, and a word read allocates nothing. *)
+type words = In_string of string * int | In_bigarray of bigview
+
+let word src i =
+  match src with
+  | In_string (s, base) -> Int32.to_int (String.get_int32_le s (base + (4 * i)))
+  | In_bigarray a -> Int32.to_int (Bigarray.Array1.get a i)
+
+(* A validated instance whose sections still live in their backing
+   store: iteration reads the words in place, no per-element boxing or
+   copying. *)
 type view = {
   vk : int;
   nv : int;
   ne : int;
   na : int;
-  data : bigview;  (** the whole encoding, header included *)
+  src : words;  (** the whole encoding, header included *)
 }
 
 let view_k v = v.vk
@@ -193,23 +205,24 @@ let vertex_base = header_words
 let edge_base v = header_words + v.nv
 let affinity_base v = header_words + v.nv + (2 * v.ne)
 
-let view_vertex v i = Int32.to_int (Bigarray.Array1.get v.data (vertex_base + i))
+let view_vertex v i = word v.src (vertex_base + i)
 
 let iter_view_edges v f =
   let base = edge_base v in
   for e = 0 to v.ne - 1 do
-    let i = Int32.to_int (Bigarray.Array1.get v.data (base + (2 * e)))
-    and j = Int32.to_int (Bigarray.Array1.get v.data (base + (2 * e) + 1)) in
-    f (view_vertex v i) (view_vertex v j)
+    f
+      (view_vertex v (word v.src (base + (2 * e))))
+      (view_vertex v (word v.src (base + (2 * e) + 1)))
   done
 
 let iter_view_affinities v f =
   let base = affinity_base v in
   for a = 0 to v.na - 1 do
-    let i = Int32.to_int (Bigarray.Array1.get v.data (base + (3 * a)))
-    and j = Int32.to_int (Bigarray.Array1.get v.data (base + (3 * a) + 1))
-    and w = Int32.to_int (Bigarray.Array1.get v.data (base + (3 * a) + 2)) in
-    f (view_vertex v i) (view_vertex v j) w
+    let at = base + (3 * a) in
+    f
+      (view_vertex v (word v.src at))
+      (view_vertex v (word v.src (at + 1)))
+      (word v.src (at + 2))
   done
 
 let view_flat ?rows v =
@@ -220,32 +233,49 @@ let view_flat ?rows v =
        edge arrives exactly once with i < j — the add_new_edge
        contract, so the bulk load skips membership probes entirely. *)
     Rc_graph.Flat.add_new_edge f
-      (Int32.to_int (Bigarray.Array1.get v.data (base + (2 * e))))
-      (Int32.to_int (Bigarray.Array1.get v.data (base + (2 * e) + 1)))
+      (word v.src (base + (2 * e)))
+      (word v.src (base + (2 * e) + 1))
   done;
   let labels = Array.init v.nv (fun i -> view_vertex v i) in
   (f, labels)
 
 let view_problem v =
-  (* Accumulate the symmetric adjacency over dense indices, then hand
-     the whole thing to the bulk constructor: one [ISet.of_list] per
-     vertex instead of two map updates per edge.  The dense-index pairs
-     are already validated, so the sorted-adjacency contract (strictly
-     increasing vertices, symmetry, no self-loops) holds by
+  (* The symmetric adjacency over dense indices in one unboxed buffer
+     (row i's neighbours are [nbr.(start.(i)) .. nbr.(start.(i+1) - 1)]),
+     handed to the row-at-a-time constructor, so only the current row
+     is ever a list.  The dense-index pairs are already validated, so
+     the rows are strictly increasing, symmetric and loop-free by
      construction. *)
-  let adj = Array.make (max v.nv 1) [] in
-  let base = edge_base v in
+  let n = v.nv and base = edge_base v in
+  let start = Array.make (n + 1) 0 in
   for e = 0 to v.ne - 1 do
-    let i = Int32.to_int (Bigarray.Array1.get v.data (base + (2 * e)))
-    and j = Int32.to_int (Bigarray.Array1.get v.data (base + (2 * e) + 1)) in
-    adj.(i) <- j :: adj.(i);
-    adj.(j) <- i :: adj.(j)
+    let i = word v.src (base + (2 * e)) and j = word v.src (base + (2 * e) + 1) in
+    start.(i + 1) <- start.(i + 1) + 1;
+    start.(j + 1) <- start.(j + 1) + 1
   done;
-  let graph =
-    G.of_sorted_adjacency
-      (List.init v.nv (fun i ->
-           (view_vertex v i, List.rev_map (view_vertex v) adj.(i))))
+  for i = 1 to n do
+    start.(i) <- start.(i) + start.(i - 1)
+  done;
+  let fill = Array.sub start 0 n in
+  let nbr = Array.make (2 * v.ne) 0 in
+  for e = 0 to v.ne - 1 do
+    let i = word v.src (base + (2 * e)) and j = word v.src (base + (2 * e) + 1) in
+    nbr.(fill.(i)) <- j;
+    fill.(i) <- fill.(i) + 1;
+    nbr.(fill.(j)) <- i;
+    fill.(j) <- fill.(j) + 1
+  done;
+  let rec rows i () =
+    if i >= n then Seq.Nil
+    else begin
+      let ns = ref [] in
+      for p = start.(i) to start.(i + 1) - 1 do
+        ns := view_vertex v nbr.(p) :: !ns
+      done;
+      Seq.Cons ((view_vertex v i, !ns), rows (i + 1))
+    end
   in
+  let graph = G.of_rows (rows 0) in
   let affinities = ref [] in
   iter_view_affinities v (fun u w wt -> affinities := ((u, w), wt) :: !affinities);
   Rc_core.Problem.make ~graph ~affinities:(List.rev !affinities) ~k:v.vk
@@ -305,125 +335,94 @@ let to_binary (p : Rc_core.Problem.t) =
 
 (* ---- validation -------------------------------------------------- *)
 
-let ( let* ) r f = match r with Ok x -> f x | Error _ as e -> e
+exception Reject of bin_error
 
-(* Structural validation shared by every decode path.  O(size) scans;
-   the strict-sortedness checks double as duplicate detection. *)
-let validate_view (v : view) =
-  let get i = Int32.to_int (Bigarray.Array1.get v.data i) in
-  let* () =
-    if v.vk <= 0 then Error (Bin_bad_header (Printf.sprintf "k = %d" v.vk))
-    else Ok ()
-  in
-  let* () =
-    let rec go i =
-      if i >= v.nv then Ok ()
-      else if i > 0 && get (vertex_base + i) <= get (vertex_base + i - 1) then
-        Error
+let reject e = raise_notrace (Reject e)
+
+(* "RCBI" read as one little-endian word. *)
+let magic_word = 0x49424352
+
+(* The one structural validator every decode path and the keying entry
+   point share: header, counts against the [words] available, then the
+   body, reporting the first violation.  The body checks are direct
+   loops over the words — nothing is allocated per word, only the view
+   or the error.  The strict-sortedness checks double as duplicate
+   detection. *)
+let validate src ~words =
+  try
+    if words < header_words then
+      reject (Bin_truncated { expected = 4 * header_words; got = 4 * words });
+    if word src 0 <> magic_word then reject Bin_bad_magic;
+    if word src 1 <> binary_version then reject (Bin_unsupported_version (word src 1));
+    if word src 6 <> 0 || word src 7 <> 0 then
+      reject
+        (Bin_bad_header (Printf.sprintf "non-zero flags %d/%d" (word src 6) (word src 7)));
+    let vk = word src 2 and nv = word src 3 and ne = word src 4 and na = word src 5 in
+    if nv < 0 || ne < 0 || na < 0 then
+      reject
+        (Bin_bad_header (Printf.sprintf "negative counts %d/%d/%d" nv ne na));
+    let expected = header_words + nv + (2 * ne) + (3 * na) in
+    if words <> expected then
+      reject (Bin_truncated { expected = 4 * expected; got = 4 * words });
+    if vk <= 0 then reject (Bin_bad_header (Printf.sprintf "k = %d" vk));
+    for i = 1 to nv - 1 do
+      if word src (vertex_base + i) <= word src (vertex_base + i - 1) then
+        reject
           (Bin_malformed
              (Printf.sprintf "vertex table not strictly increasing at %d" i))
-      else go (i + 1)
+    done;
+    let section ~what ~base ~count ~stride =
+      let pi = ref (-1) and pj = ref (-1) in
+      for e = 0 to count - 1 do
+        let at = base + (stride * e) in
+        let i = word src at and j = word src (at + 1) in
+        if i < 0 || j < 0 || i >= nv || j >= nv then
+          reject
+            (Bin_malformed
+               (Printf.sprintf "%s %d: index (%d, %d) outside vertex table"
+                  what e i j));
+        if i >= j then
+          reject
+            (Bin_malformed
+               (Printf.sprintf "%s %d: endpoints (%d, %d) not ordered" what e
+                  i j));
+        if stride = 3 && word src (at + 2) < 0 then
+          reject
+            (Bin_malformed
+               (Printf.sprintf "%s %d: negative weight %d" what e (word src (at + 2))));
+        if i < !pi || (i = !pi && j <= !pj) then
+          reject
+            (Bin_malformed
+               (Printf.sprintf "%s section not strictly sorted at %d" what e));
+        pi := i;
+        pj := j
+      done
     in
-    go 0
-  in
-  let check_section ~what ~base ~count ~stride ~weighted =
-    let rec go e =
-      if e >= count then Ok ()
-      else
-        let i = get (base + (stride * e)) and j = get (base + (stride * e) + 1) in
-        if i < 0 || j < 0 || i >= v.nv || j >= v.nv then
-          Error
-            (Bin_malformed
-               (Printf.sprintf "%s %d: index (%d, %d) outside vertex table" what
-                  e i j))
-        else if i >= j then
-          Error
-            (Bin_malformed
-               (Printf.sprintf "%s %d: endpoints (%d, %d) not ordered" what e i
-                  j))
-        else if weighted && get (base + (stride * e) + 2) < 0 then
-          Error
-            (Bin_malformed
-               (Printf.sprintf "%s %d: negative weight %d" what e
-                  (get (base + (stride * e) + 2))))
-        else if
-          e > 0
-          && (i, j)
-             <= (get (base + (stride * (e - 1))), get (base + (stride * (e - 1)) + 1))
-        then
-          Error
-            (Bin_malformed
-               (Printf.sprintf "%s section not strictly sorted at %d" what e))
-        else go (e + 1)
-    in
-    go 0
-  in
-  let* () =
-    check_section ~what:"edge" ~base:(edge_base v) ~count:v.ne ~stride:2
-      ~weighted:false
-  in
-  let* () =
-    check_section ~what:"affinity" ~base:(affinity_base v) ~count:v.na ~stride:3
-      ~weighted:true
-  in
-  Ok v
+    section ~what:"edge" ~base:(header_words + nv) ~count:ne ~stride:2;
+    section ~what:"affinity"
+      ~base:(header_words + nv + (2 * ne))
+      ~count:na ~stride:3;
+    Ok { vk; nv; ne; na; src }
+  with Reject e -> Error e
+
+(* A string's words, or the typed error for a length that is not a
+   whole number of them — reported against the nearest well-formed size
+   so a truncation inside a word still reads as truncation, not as a
+   magic/header problem. *)
+let validate_string s ~pos ~len =
+  if len mod 4 <> 0 then
+    Error (Bin_truncated { expected = 4 * ((len / 4) + 1); got = len })
+  else validate (In_string (s, pos)) ~words:(len / 4)
 
 let view_of_bigarray (data : bigview) =
-  let words = Bigarray.Array1.dim data in
-  let* () =
-    if words < header_words then
-      Error (Bin_truncated { expected = 4 * header_words; got = 4 * words })
-    else Ok ()
-  in
-  let magic = Bytes.create 4 in
-  Bytes.set_int32_le magic 0 (Bigarray.Array1.get data 0);
-  let* () =
-    if Bytes.to_string magic <> binary_magic then Error Bin_bad_magic else Ok ()
-  in
-  let get i = Int32.to_int (Bigarray.Array1.get data i) in
-  let* () =
-    if get 1 <> binary_version then Error (Bin_unsupported_version (get 1))
-    else Ok ()
-  in
-  let* () =
-    if get 6 <> 0 || get 7 <> 0 then
-      Error (Bin_bad_header (Printf.sprintf "non-zero flags %d/%d" (get 6) (get 7)))
-    else Ok ()
-  in
-  let vk = get 2 and nv = get 3 and ne = get 4 and na = get 5 in
-  let* () =
-    if nv < 0 || ne < 0 || na < 0 then
-      Error (Bin_bad_header (Printf.sprintf "negative counts %d/%d/%d" nv ne na))
-    else Ok ()
-  in
-  let expected = header_words + nv + (2 * ne) + (3 * na) in
-  let* () =
-    if words <> expected then
-      Error (Bin_truncated { expected = 4 * expected; got = 4 * words })
-    else Ok ()
-  in
-  validate_view { vk; nv; ne; na; data }
+  validate (In_bigarray data) ~words:(Bigarray.Array1.dim data)
 
-let view_of_binary s =
-  let len = String.length s in
-  if len mod 4 <> 0 then
-    (* Report against the nearest well-formed size so truncation points
-       inside a word still read as truncation, not as a magic/header
-       problem. *)
-    Error (Bin_truncated { expected = 4 * ((len / 4) + 1); got = len })
-  else begin
-    let data =
-      Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (len / 4)
-    in
-    for i = 0 to (len / 4) - 1 do
-      Bigarray.Array1.set data i (String.get_int32_le s (4 * i))
-    done;
-    view_of_bigarray data
-  end
+let view_of_binary s = validate_string s ~pos:0 ~len:(String.length s)
 
 let of_binary s =
-  let* v = view_of_binary s in
-  Ok (view_problem v)
+  match view_of_binary s with
+  | Ok v -> Ok (view_problem v)
+  | Error _ as e -> e
 
 let is_binary s =
   String.length s >= 4 && String.sub s 0 4 = binary_magic
@@ -457,9 +456,7 @@ let map_binary_file path =
   | exception Unix.Unix_error (e, _, _) -> Error (Bin_io (Unix.error_message e))
   | exception Sys_error m -> Error (Bin_io m)
 
-let read_binary_file path =
-  let* v = map_binary_file path in
-  Ok (view_problem v)
+let read_binary_file path = Result.map view_problem (map_binary_file path)
 
 (* ---- canonical hash ---------------------------------------------- *)
 
@@ -468,16 +465,25 @@ let read_binary_file path =
    cache key (it is not a cryptographic commitment; the serve-path
    cache stores the full key alongside and certifies answers
    independently). *)
-let fnv1a s =
+let fnv1a s ~pos ~len =
   (* The canonical 64-bit offset basis with its top bit dropped, so the
      literal fits OCaml's 63-bit int. *)
   let h = ref 0x4bf29ce484222325 in
-  String.iter
-    (fun c ->
-      h := !h lxor Char.code c;
-      h := !h * 0x100000001b3)
-    s;
+  for i = pos to pos + len - 1 do
+    h := (!h lxor Char.code (String.unsafe_get s i)) * 0x100000001b3
+  done;
   !h land max_int
 
-let hash_binary s = Printf.sprintf "%015x" (fnv1a s)
+let hex h = Printf.sprintf "%015x" h
+let hash_binary s = hex (fnv1a s ~pos:0 ~len:(String.length s))
 let canonical_hash p = hash_binary (to_binary p)
+
+(* Validated RCBI bytes are the canonical encoding of the problem they
+   decode to, so hashing them in place is [canonical_hash] of that
+   problem without building it. *)
+let key_binary s ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Instance_io.key_binary: range outside the string";
+  match validate_string s ~pos ~len with
+  | Ok _ -> Ok (hex (fnv1a s ~pos ~len))
+  | Error _ as e -> e

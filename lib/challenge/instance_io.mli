@@ -48,13 +48,21 @@ val write_file : string -> Rc_core.Problem.t -> unit
     as {e dense vertex-table indices} in strictly increasing
     lexicographic order.  Canonical means byte-equal encodings iff
     equal problems — the serve path keys its answer cache on
-    {!hash_binary} of these bytes.  The sections are index-based so a
-    loader can stream them into a {!Rc_graph.Flat} kernel with no id
-    translation ({!view_flat}), and the file reader mmaps the encoding
-    into a [Bigarray] so nothing is copied or even read until the
-    validation scans and the bulk load touch the words
+    {!hash_binary} of these bytes ({!key_binary}).  The sections are
+    index-based so a loader can stream them into a {!Rc_graph.Flat}
+    kernel with no id translation ({!view_flat}), and the file reader
+    mmaps the encoding into a [Bigarray] so nothing is copied or even
+    read until the validation scans and the bulk load touch the words
     ({!map_binary_file}).  See DESIGN.md "Coalescing as a service" for
-    the normative byte layout. *)
+    the normative byte layout.
+
+    Every entry point that accepts bytes — {!of_binary},
+    {!view_of_binary}, {!view_of_bigarray}, {!map_binary_file},
+    {!read_binary_file} and {!key_binary} — runs one shared validator
+    over the words where they lie (a string at an offset, or a
+    [Bigarray]): the same checks in the same order, so the same bytes
+    get the same [Ok]/[bin_error] constructor from each.  It is a
+    direct loop that allocates nothing per word. *)
 
 type bin_error =
   | Bin_bad_magic
@@ -77,14 +85,27 @@ val of_binary : string -> (Rc_core.Problem.t, bin_error) result
     (the binary round-trip property suite locks this, up to [10^5]
     vertices). *)
 
+val key_binary : string -> pos:int -> len:int -> (string, bin_error) result
+(** [key_binary s ~pos ~len] validates the encoding in bytes
+    [pos .. pos + len - 1] of [s] in place — no copy, no problem built,
+    nothing allocated per word — and returns {!hash_binary} of exactly
+    those bytes.  Validated bytes are the canonical encoding of the
+    problem they decode to, so on [Ok] the key equals
+    [canonical_hash] of [of_binary (String.sub s pos len)], and on
+    [Error] the error is the one {!of_binary} reports for those bytes.
+    The server keys binary SOLVE requests with it straight from its
+    read buffer.  Raises [Invalid_argument] if the range is not inside
+    [s]. *)
+
 val is_binary : string -> bool
 (** Magic sniff, so front ends can accept either format on one path. *)
 
 (** {2 Zero-copy views} *)
 
 type view
-(** A validated instance whose sections still live in their (possibly
-    mmap-ed) backing store; iteration reads the [Bigarray] directly. *)
+(** A validated instance whose sections still live in their backing
+    store (the decoded string, or a possibly mmap-ed [Bigarray]);
+    iteration reads the words in place. *)
 
 val view_of_binary : string -> (view, bin_error) result
 val view_of_bigarray :
@@ -105,7 +126,9 @@ val iter_view_affinities : view -> (int -> int -> int -> unit) -> unit
 (** [f u v weight], canonical order. *)
 
 val view_problem : view -> Rc_core.Problem.t
-(** Materialize as a persistent-graph problem. *)
+(** Materialize as a persistent-graph problem: the adjacency is
+    gathered in one unboxed int buffer and handed to
+    {!Rc_graph.Graph.of_rows} one row at a time. *)
 
 val view_flat :
   ?rows:Rc_graph.Flat.rows -> view -> Rc_graph.Flat.t * int array

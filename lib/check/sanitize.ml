@@ -30,6 +30,10 @@ type state = {
   mutable frames_rejected : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
+  (* Binary payloads built into a [Problem.t]: the server builds one
+     only for a cache miss, so on all-binary traffic this equals
+     [cache_misses]. *)
+  mutable instances_decoded : int;
   mutable cache_evictions : int;
   (* Profile-cache traffic (PR 9): the server's Static_profile route
      reuses cached structural profiles; hits here are solves that
@@ -52,6 +56,7 @@ let dls : state Domain.DLS.key =
         frames_rejected = 0;
         cache_hits = 0;
         cache_misses = 0;
+        instances_decoded = 0;
         cache_evictions = 0;
         profile_hits = 0;
         profile_misses = 0;
@@ -76,6 +81,7 @@ let total_frames_decoded = Atomic.make 0
 let total_frames_rejected = Atomic.make 0
 let total_cache_hits = Atomic.make 0
 let total_cache_misses = Atomic.make 0
+let total_instances_decoded = Atomic.make 0
 let total_cache_evictions = Atomic.make 0
 let total_profile_hits = Atomic.make 0
 let total_profile_misses = Atomic.make 0
@@ -101,6 +107,8 @@ let flush () =
   st.cache_hits <- 0;
   fold total_cache_misses st.cache_misses;
   st.cache_misses <- 0;
+  fold total_instances_decoded st.instances_decoded;
+  st.instances_decoded <- 0;
   fold total_cache_evictions st.cache_evictions;
   st.cache_evictions <- 0;
   fold total_profile_hits st.profile_hits;
@@ -141,6 +149,10 @@ let note_cache_miss () =
   let st = state () in
   st.cache_misses <- st.cache_misses + 1
 
+let note_instance_decoded () =
+  let st = state () in
+  st.instances_decoded <- st.instances_decoded + 1
+
 let note_cache_evicted () =
   let st = state () in
   st.cache_evictions <- st.cache_evictions + 1
@@ -168,6 +180,9 @@ let serve_cache_hits () = Atomic.get total_cache_hits + (state ()).cache_hits
 
 let serve_cache_misses () =
   Atomic.get total_cache_misses + (state ()).cache_misses
+
+let instances_decoded () =
+  Atomic.get total_instances_decoded + (state ()).instances_decoded
 
 let serve_cache_evictions () =
   Atomic.get total_cache_evictions + (state ()).cache_evictions

@@ -103,6 +103,13 @@ val note_frame_rejected : unit -> unit
 val note_cache_hit : unit -> unit
 val note_cache_miss : unit -> unit
 
+(** [note_instance_decoded ()]: a binary SOLVE payload was built into a
+    [Problem.t].  The server keys binary requests on their validated
+    bytes and builds the problem only inside a miss's solve task, so a
+    cache hit never counts here.  Text requests are parsed in order to
+    be keyed and are not counted. *)
+val note_instance_decoded : unit -> unit
+
 (** [note_cache_evicted ()]: an answer-cache entry was evicted to make
     room (LRU overflow), as opposed to an explicit flush. *)
 val note_cache_evicted : unit -> unit
@@ -124,6 +131,10 @@ val frames_rejected : unit -> int
 
 val serve_cache_hits : unit -> int
 val serve_cache_misses : unit -> int
+val instances_decoded : unit -> int
+(** Binary payloads built into a problem; equal to {!serve_cache_misses}
+    on all-binary traffic. *)
+
 val serve_cache_evictions : unit -> int
 val serve_profile_hits : unit -> int
 val serve_profile_misses : unit -> int

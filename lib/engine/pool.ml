@@ -31,28 +31,35 @@ let worker_loop t =
      see Rc_check.Sanitize). *)
   ignore (Rc_check.Sanitize.install_if_enabled ());
   let seen = ref 0 in
+  (* Under [t.mutex]: the next job body this worker has not run yet, or
+     [None] once the pool stops. *)
+  let rec next_job () =
+    if t.stop then None
+    else
+      match t.job with
+      | Some body when t.generation <> !seen -> Some body
+      | Some _ | None ->
+          Condition.wait t.work_ready t.mutex;
+          next_job ()
+  in
   let rec loop () =
     Mutex.lock t.mutex;
-    while (not t.stop) && (t.generation = !seen || t.job = None) do
-      Condition.wait t.work_ready t.mutex
-    done;
-    if t.stop then Mutex.unlock t.mutex
-    else begin
-      seen := t.generation;
-      let body = match t.job with Some b -> b | None -> assert false in
-      t.running <- t.running + 1;
-      Mutex.unlock t.mutex;
-      body ();
-      (* Publish this domain's audit tallies before the join below is
-         observable: once [run] sees [running = 0], every worker's
-         counters are in the process-wide totals. *)
-      Rc_check.Sanitize.flush ();
-      Mutex.lock t.mutex;
-      t.running <- t.running - 1;
-      if t.running = 0 then Condition.broadcast t.work_done;
-      Mutex.unlock t.mutex;
-      loop ()
-    end
+    match next_job () with
+    | None -> Mutex.unlock t.mutex
+    | Some body ->
+        seen := t.generation;
+        t.running <- t.running + 1;
+        Mutex.unlock t.mutex;
+        body ();
+        (* Publish this domain's audit tallies before the join below is
+           observable: once [run] sees [running = 0], every worker's
+           counters are in the process-wide totals. *)
+        Rc_check.Sanitize.flush ();
+        Mutex.lock t.mutex;
+        t.running <- t.running - 1;
+        if t.running = 0 then Condition.broadcast t.work_done;
+        Mutex.unlock t.mutex;
+        loop ()
   in
   loop ()
 
@@ -145,7 +152,13 @@ let run_locked ?chunk t ~tasks f =
     match !err with
     | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
     | None ->
-        Array.map (function Some v -> v | None -> assert false) results
+        Array.map
+          (function
+            | Some v -> v
+            | None ->
+                invalid_arg
+                  "Pool.run: a task slot is empty although no task failed")
+          results
   end
 
 let run ?chunk t ~tasks f =

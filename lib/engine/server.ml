@@ -73,9 +73,14 @@ let read_upto fd buf len =
   done;
   !got
 
-type frame = Frame of int * string | Eof | Bad of Protocol.error
+type frame = Frame of int * int | Eof | Bad of Protocol.error
 
-let read_frame ~max_payload fd =
+(* Reads one frame.  Its payload lands in bytes [0, len) of [!buf],
+   which is replaced by a buffer of exactly [len] bytes when it is too
+   small: a session passes its one read buffer (so it grows to the
+   session's largest frame and is reused by every read), a one-off
+   reader a fresh [ref Bytes.empty]. *)
+let read_frame ~max_payload fd buf =
   match
     let hdr = Bytes.create Wire.header_bytes in
     match read_upto fd hdr Wire.header_bytes with
@@ -104,13 +109,13 @@ let read_frame ~max_payload fd =
           if len > max_payload then
             Bad (Protocol.Oversized_frame { length = len; limit = max_payload })
           else begin
-            let payload = Bytes.create len in
-            let got = read_upto fd payload len in
+            if Bytes.length !buf < len then buf := Bytes.create len;
+            let got = read_upto fd !buf len in
             if got < len then
               Bad
                 (Protocol.Truncated_frame
                    { context = "frame payload"; wanted = len; got })
-            else Frame (typ, Bytes.unsafe_to_string payload)
+            else Frame (typ, len)
           end
         end
   with
@@ -382,6 +387,7 @@ let stats_text t =
        frames_rejected %d\n\
        cache_hits %d\n\
        cache_misses %d\n\
+       instances_decoded %d\n\
        cache_evictions %d\n\
        profile_hits %d\n\
        profile_misses %d\n\
@@ -403,6 +409,7 @@ let stats_text t =
       (Sanitize.frames_rejected ())
       (Sanitize.serve_cache_hits ())
       (Sanitize.serve_cache_misses ())
+      (Sanitize.instances_decoded ())
       (Sanitize.serve_cache_evictions ())
       (Sanitize.serve_profile_hits ())
       (Sanitize.serve_profile_misses ())
@@ -445,14 +452,6 @@ let stats_text t =
 (* Request decoding and solving                                        *)
 (* ------------------------------------------------------------------ *)
 
-type decoded = {
-  problem : Problem.t;
-  strategies : Strategies.t list;
-  key : string;
-  hash : string;  (* canonical instance hash, shared across strategies *)
-  stoken : string;  (* strategy component of [key] ("all" for the set) *)
-}
-
 let rows_token = function
   | None -> "auto-default"
   | Some r -> Rc_graph.Flat.rows_to_string r
@@ -464,12 +463,34 @@ let dispatch_token = function
   | Strategies.Direct -> "direct"
   | Strategies.Static_profile -> "static"
 
-(* Runs inside a pool task: must not raise (a task exception would
-   abort the whole batch). *)
-let decode_solve t payload : (decoded, Protocol.error) result =
+let cache_key t ~hash ~stoken =
+  String.concat "|"
+    [ hash; stoken; rows_token t.config.rows; dispatch_token t.config.dispatch ]
+
+(* The instance a fresh solve needs: RCBI bytes copied out of the read
+   buffer (decoded inside the solve task), or the problem a text
+   request was parsed into to be keyed. *)
+type instance = Rcbi of string | Parsed of Problem.t
+
+type keyed = {
+  strategies : Strategies.t list;
+  stoken : string;  (* strategy component of [key] ("all" for the set) *)
+  hash : string;  (* canonical instance hash, shared across strategies *)
+  key : string;
+  source : [ `At of int * int | `Parsed of Problem.t ];
+      (* binary: where the validated instance bytes sit in the payload *)
+}
+
+(* Keys one SOLVE payload, held in bytes [0, len) of [payload] (the
+   session's read buffer, which the next read overwrites).  A binary
+   instance is validated and hashed in place
+   ({!Instance_io.key_binary}), so nothing is copied or built before the
+   cache has been asked; a text instance is parsed, then hashed through
+   its canonical encoding — the same key.  Must not raise: every failure
+   is the request's typed refusal. *)
+let key_solve t payload len : (keyed, Protocol.error) result =
   let ( let* ) r f = match r with Ok x -> f x | Error _ as e -> e in
   try
-    let len = String.length payload in
     let* () =
       if len < 2 then
         Error (Protocol.Bad_request "SOLVE payload shorter than its envelope")
@@ -485,7 +506,7 @@ let decode_solve t payload : (decoded, Protocol.error) result =
       else Ok ()
     in
     let sname = String.sub payload 2 slen in
-    let instance = String.sub payload (2 + slen) (len - 2 - slen) in
+    let pos = 2 + slen and ilen = len - 2 - slen in
     let* strategies, stoken =
       if sname = "" || sname = "all" then Ok (Strategies.all_heuristics, "all")
       else
@@ -494,7 +515,7 @@ let decode_solve t payload : (decoded, Protocol.error) result =
             (* The spelling is valid; make sure the backend actually
                exists in this server's registry before accepting work
                for it, so a typo'd [exact:foo] is a typed refusal at
-               decode time, not a solver failure mid-batch. *)
+               read time, not a solver failure mid-batch. *)
             match Strategies.Backend.find b with
             | Some bk when bk.Strategies.Backend.caps.Strategies.Backend.exact
               ->
@@ -503,36 +524,42 @@ let decode_solve t payload : (decoded, Protocol.error) result =
         | Ok s -> Ok ([ s ], Strategies.name s)
         | Error _ -> Error (Protocol.Unknown_strategy sname)
     in
-    let* problem =
+    let* hash, source =
       match enc with
       | 0 -> (
-          match Instance_io.of_binary instance with
-          | Ok p -> Ok p
+          match Instance_io.key_binary payload ~pos ~len:ilen with
+          | Ok hash -> Ok (hash, `At (pos, ilen))
           | Error e ->
               Error (Protocol.Bad_instance (Instance_io.bin_error_to_string e)))
       | _ -> (
-          match Instance_io.parse instance with
-          | Ok p -> Ok p
+          match Instance_io.parse (String.sub payload pos ilen) with
+          | Ok p -> Ok (Instance_io.canonical_hash p, `Parsed p)
           | Error m -> Error (Protocol.Bad_instance m))
     in
-    let hash = Instance_io.canonical_hash problem in
-    let key =
-      String.concat "|"
-        [
-          hash;
-          stoken;
-          rows_token t.config.rows;
-          dispatch_token t.config.dispatch;
-        ]
-    in
-    Ok { problem; strategies; key; hash; stoken }
+    Ok { strategies; stoken; hash; key = cache_key t ~hash ~stoken; source }
   with e -> Error (Protocol.Bad_instance (Printexc.to_string e))
 
-(* Also a pool task: certification runs in whichever worker domain
-   picked the slot, and its Sanitize tallies ride the pool's
-   flush-at-join back to the process totals. *)
-let solve_and_render t (d : decoded) : (string * int, Protocol.error) result =
+(* A pool task: builds the problem (the only place a binary request
+   becomes a [Problem.t]), solves, certifies.  Certification runs in
+   whichever worker domain picked the slot, and its Sanitize tallies
+   ride the pool's flush-at-join back to the process totals.  Must not
+   raise. *)
+let solve_and_render t ((k : keyed), instance) :
+    (string * int, Protocol.error) result =
   try
+    let problem =
+      match instance with
+      | Parsed p -> p
+      | Rcbi bytes -> (
+          match Instance_io.of_binary bytes with
+          | Ok p ->
+              Sanitize.note_instance_decoded ();
+              p
+          | Error e ->
+              invalid_arg
+                ("Server: bytes key_binary accepted fail of_binary's shared \
+                  validator: " ^ Instance_io.bin_error_to_string e))
+    in
     let config =
       {
         Strategies.default_config with
@@ -545,17 +572,17 @@ let solve_and_render t (d : decoded) : (string * int, Protocol.error) result =
        input.  A hit on the shared cache skips the re-analysis; the
        mutex is held for the table touch only, never the analysis. *)
     let profile =
-      match with_cache t (fun () -> Lru.find t.profiles d.hash) with
+      match with_cache t (fun () -> Lru.find t.profiles k.hash) with
       | Some pr ->
           Sanitize.note_profile_hit ();
           pr
       | None ->
           Sanitize.note_profile_miss ();
-          let pr = Profile.analyze d.problem in
-          with_cache t (fun () -> Lru.add t.profiles d.hash pr);
+          let pr = Profile.analyze problem in
+          with_cache t (fun () -> Lru.add t.profiles k.hash pr);
           pr
     in
-    let text, sols = render ~profile config d.strategies d.problem in
+    let text, sols = render ~profile config k.strategies problem in
     if not t.config.certify then Ok (text, 0)
     else begin
       let failure = ref None in
@@ -565,7 +592,7 @@ let solve_and_render t (d : decoded) : (string * int, Protocol.error) result =
           | [] -> ()
           | claims ->
               if !failure = None then begin
-                let report = Certify.certify_solution ~claims d.problem sol in
+                let report = Certify.certify_solution ~claims problem sol in
                 let ok = Certify.ok report in
                 Sanitize.note_certified ~ok;
                 if not ok then
@@ -587,22 +614,11 @@ let solve_and_render t (d : decoded) : (string * int, Protocol.error) result =
    stats line plus one canonical report line per strategy, so the
    single strategy's answer is the stats line plus its line, found by
    the %-28s-padded name prefix.  (Exact is not in [all_heuristics],
-   so its requests naturally miss.) *)
-(* Caller holds [cache_mu] (the batch-classification pass locks once
-   per lookup). *)
-let subsume_from_all t (d : decoded) =
-  match d.strategies with
-  | [ s ] when d.stoken <> "all" -> (
-      let all_key =
-        String.concat "|"
-          [
-            d.hash;
-            "all";
-            rows_token t.config.rows;
-            dispatch_token t.config.dispatch;
-          ]
-      in
-      match Lru.find t.cache all_key with
+   so its requests naturally miss.)  Caller holds [cache_mu]. *)
+let subsume_from_all t (k : keyed) =
+  match k.strategies with
+  | [ s ] when k.stoken <> "all" -> (
+      match Lru.find t.cache (cache_key t ~hash:k.hash ~stoken:"all") with
       | None -> None
       | Some (text, cert) -> (
           let prefix = Printf.sprintf "%-28s " (Strategies.name s) in
@@ -622,58 +638,80 @@ type reply =
   | R_answer of { cache_hit : bool; cert : int; text : string }
   | R_error of Protocol.error
 
-(* Execute one batch: decode fan-out, cache classification in
-   submission order, solve fan-out over the distinct misses, replies in
-   submission order.  Both fan-outs run on the pool, whose index-slot
-   result merge keeps everything deterministic at any domain count. *)
-let run_batch t (payloads : string array) : reply array =
-  let n = Array.length payloads in
-  ignore (Atomic.fetch_and_add t.requests n);
-  let decoded = Pool.run t.pool ~tasks:n (fun i -> decode_solve t payloads.(i)) in
-  let replies = Array.make n (R_error Protocol.Shutting_down) in
-  (* [plan.(i)]: which fresh slot answers request i, if any. *)
-  let plan = Array.make n (-1) in
-  let hit = Array.make n false in
-  let slot_of_key = Hashtbl.create 16 in
-  let fresh = ref [] in
-  let nfresh = ref 0 in
-  for i = 0 to n - 1 do
-    match decoded.(i) with
+(* One queued SOLVE: decided when it was read (a cache hit or a typed
+   refusal), or answered by fresh solve [slot] of the batch — [alias]
+   marks a repeat of an earlier request in the same batch, which is
+   solved once and reported as a cache hit. *)
+type queued = Done of reply | Slot of { slot : int; alias : bool }
+
+(* A session's pending SOLVEs.  Each frame is keyed and classified as
+   it is read, in submission order, because the read buffer it sits in
+   is overwritten by the next read: only a miss copies its instance
+   out.  Executing the batch is then one solve fan-out over the distinct
+   misses. *)
+type batch = {
+  mutable queued : queued list;  (* newest first *)
+  mutable size : int;
+  slots : (string, int) Hashtbl.t;  (* key of each fresh solve -> slot *)
+  mutable fresh : (keyed * instance) list;
+      (* newest first; a slot counts from the oldest *)
+}
+
+let create_batch () =
+  { queued = []; size = 0; slots = Hashtbl.create 16; fresh = [] }
+
+let enqueue t b payload len =
+  let q =
+    match key_solve t payload len with
     | Error e ->
         Sanitize.note_frame_rejected ();
-        replies.(i) <- R_error e
-    | Ok d -> (
+        Done (R_error e)
+    | Ok k -> (
         (* One short cache_mu hold per request: the lookup (and the
-           [all]-subsumption probe) touch the recency list.  Never
-           held past this match arm — the solve fan-out below must be
-           lock-free territory. *)
+           [all]-subsumption probe) touch the recency list. *)
         let cached =
           with_cache t (fun () ->
-              match Lru.find t.cache d.key with
+              match Lru.find t.cache k.key with
               | Some r -> Some r
-              | None -> subsume_from_all t d)
+              | None -> subsume_from_all t k)
         in
         match cached with
         | Some (text, cert) ->
             Sanitize.note_cache_hit ();
-            replies.(i) <- R_answer { cache_hit = true; cert; text }
+            Done (R_answer { cache_hit = true; cert; text })
         | None -> (
-            match Hashtbl.find_opt slot_of_key d.key with
-            | Some j ->
-                (* The repeated-graph fast path inside one batch:
-                   alias the first occurrence's slot; solved once. *)
+            match Hashtbl.find_opt b.slots k.key with
+            | Some slot ->
                 Sanitize.note_cache_hit ();
-                plan.(i) <- j;
-                hit.(i) <- true
+                Slot { slot; alias = true }
             | None ->
                 Sanitize.note_cache_miss ();
-                let j = !nfresh in
-                incr nfresh;
-                Hashtbl.add slot_of_key d.key j;
-                fresh := d :: !fresh;
-                plan.(i) <- j))
-  done;
-  let fresh = Array.of_list (List.rev !fresh) in
+                let slot = Hashtbl.length b.slots in
+                Hashtbl.add b.slots k.key slot;
+                let instance =
+                  match k.source with
+                  | `At (pos, ilen) -> Rcbi (String.sub payload pos ilen)
+                  | `Parsed p -> Parsed p
+                in
+                b.fresh <- (k, instance) :: b.fresh;
+                Slot { slot; alias = false }))
+  in
+  b.queued <- q :: b.queued;
+  b.size <- b.size + 1
+
+(* Execute and empty one batch: solve fan-out over the distinct misses
+   on the pool (whose index-slot result merge keeps everything
+   deterministic at any domain count), insert their answers, and return
+   the replies in submission order.  A batch of hits never touches the
+   pool. *)
+let run_batch t b : reply array =
+  ignore (Atomic.fetch_and_add t.requests b.size);
+  let fresh = Array.of_list (List.rev b.fresh) in
+  let queued = b.queued in
+  b.queued <- [];
+  b.size <- 0;
+  b.fresh <- [];
+  Hashtbl.reset b.slots;
   let solved =
     Pool.run t.pool ~tasks:(Array.length fresh) (fun j ->
         solve_and_render t fresh.(j))
@@ -682,19 +720,20 @@ let run_batch t (payloads : string array) : reply array =
     (fun j r ->
       match r with
       | Ok (text, cert) ->
-          with_cache t (fun () -> Lru.add t.cache fresh.(j).key (text, cert))
+          with_cache t (fun () -> Lru.add t.cache (fst fresh.(j)).key (text, cert))
       | Error _ -> ())
     solved;
-  for i = 0 to n - 1 do
-    if plan.(i) >= 0 then
-      replies.(i) <-
-        (match solved.(plan.(i)) with
-        | Ok (text, cert) -> R_answer { cache_hit = hit.(i); cert; text }
-        | Error e ->
-            Sanitize.note_frame_rejected ();
-            R_error e)
-  done;
-  replies
+  List.rev_map
+    (function
+      | Done r -> r
+      | Slot { slot; alias } -> (
+          match solved.(slot) with
+          | Ok (text, cert) -> R_answer { cache_hit = alias; cert; text }
+          | Error e ->
+              Sanitize.note_frame_rejected ();
+              R_error e))
+    queued
+  |> Array.of_list
 
 (* ------------------------------------------------------------------ *)
 (* Connection loop                                                     *)
@@ -807,15 +846,15 @@ let serve_connection t ~in_fd ~out_fd =
          returns), so post-close counter reads are exact. *)
       Sanitize.flush ())
     (fun () ->
-      let pending = ref [] in
+      (* The session's one read buffer: grown to its largest frame,
+         reused by every read, freed with the session. *)
+      let buf = ref Bytes.empty in
+      let pending = create_batch () in
       let flush_pending () =
-        match !pending with
-        | [] -> ()
-        | l ->
-            let payloads = Array.of_list (List.rev l) in
-            pending := [];
-            ignore (Atomic.fetch_and_add sess.sess_requests (Array.length payloads));
-            Array.iter (write_reply out_fd) (run_batch t payloads)
+        if pending.size > 0 then begin
+          ignore (Atomic.fetch_and_add sess.sess_requests pending.size);
+          Array.iter (write_reply out_fd) (run_batch t pending)
+        end
       in
       (try
          let continue = ref true in
@@ -830,7 +869,7 @@ let serve_connection t ~in_fd ~out_fd =
               queued (an interactive client gets its answer
               immediately; a saturating one batches). *)
            let ready = readable in_fd in
-           if (not ready) && !pending <> [] then flush_pending ();
+           if not ready then flush_pending ();
            if Atomic.get t.stop then begin
              (* Another session's SHUTDOWN: answers are flushed, tell
                 the peer the server is going away, and exit so the
@@ -841,7 +880,7 @@ let serve_connection t ~in_fd ~out_fd =
            end
            else if not (ready || readable ~timeout:poll_tick in_fd) then ()
            else
-             match read_frame ~max_payload:t.config.max_payload in_fd with
+             match read_frame ~max_payload:t.config.max_payload in_fd buf with
              | Eof ->
                  flush_pending ();
                  continue := false
@@ -850,10 +889,10 @@ let serve_connection t ~in_fd ~out_fd =
                  flush_pending ();
                  write_reply out_fd (R_error e);
                  continue := false
-             | Frame (typ, payload) ->
+             | Frame (typ, len) ->
                  if typ = Wire.req_solve then begin
                    Sanitize.note_frame_decoded ();
-                   pending := payload :: !pending
+                   enqueue t pending (Bytes.unsafe_to_string !buf) len
                  end
                  else if typ = Wire.req_flush then begin
                    Sanitize.note_frame_decoded ();
@@ -1076,10 +1115,13 @@ module Client = struct
   let send_shutdown fd = write_frame fd ~typ:Wire.req_shutdown ""
 
   let recv fd =
-    match read_frame ~max_payload:Wire.max_payload_default fd with
+    let buf = ref Bytes.empty in
+    match read_frame ~max_payload:Wire.max_payload_default fd buf with
     | Eof -> Eof
     | Bad e -> failwith ("Server.Client.recv: " ^ Protocol.to_string e)
-    | Frame (typ, payload) ->
+    | Frame (typ, _) ->
+        (* A fresh buffer is grown to exactly the payload's length. *)
+        let payload = Bytes.unsafe_to_string !buf in
         if typ = Wire.resp_answer then begin
           if String.length payload < 2 then
             failwith "Server.Client.recv: short ANSWER payload";

@@ -65,20 +65,32 @@
 
     {1 Batching and scheduling}
 
-    SOLVE requests queue per connection; the queue is executed — decode
-    fan-out, then solve fan-out, both on the {!Pool} — when a FLUSH (or
-    any non-SOLVE frame, or end of stream) arrives, or when the
+    Each SOLVE is keyed as it is read, in submission order, and
+    classified at once: a cache hit (or an [all]-subsumption hit, see
+    below) queues the stored answer, a repeat of a miss already queued
+    in the batch aliases that miss, and a refusal queues its typed
+    error.  Only a miss copies its instance out of the read buffer.
+    The queue is executed — one solve fan-out over the distinct misses
+    on the {!Pool}, each task building its own problem — when a FLUSH
+    (or any non-SOLVE frame, or end of stream) arrives, or when the
     connection has no more bytes ready, so an interactive client gets
     its answer immediately while a saturating client gets whole-batch
-    parallelism.  Answers always stream back in submission order.
+    parallelism.  A batch of hits never touches the pool.  Answers
+    always stream back in submission order.
 
     {1 Caching and certification}
 
-    Answers are cached under a canonical key — the
-    {!Rc_challenge.Instance_io.canonical_hash} of the instance (equal
-    problems hash equal whatever format or route produced them) plus
-    the strategy and row-policy tokens — so resubmitting a graph is
-    near-free: the reply is the stored bytes with the cache flag set.
+    Answers are cached under a canonical key — the hash of the
+    instance's canonical RCBI encoding plus the strategy, row-policy
+    and dispatch tokens — so resubmitting a graph is near-free: the
+    reply is the stored bytes with the cache flag set.  A binary
+    request is keyed on its own payload bytes, validated and hashed in
+    place ({!Rc_challenge.Instance_io.key_binary}): RCBI is canonical,
+    so those bytes are the encoding, and a hit builds no problem at all
+    (the [instances_decoded] STATS counter equals [cache_misses] on
+    all-binary traffic).  A text request is parsed and keyed on
+    {!Rc_challenge.Instance_io.canonical_hash} of the result, the same
+    value, so text and binary submissions of one instance share a key.
     Repeats {e within} one batch are detected too (the duplicate
     aliases the first occurrence's slot and reports a cache hit).
     When certification is on (the default), every answer whose
@@ -89,6 +101,15 @@
     cache traffic and certification verdicts are all reported to
     {!Rc_check.Sanitize}, so an [RC_CHECKED=1] serving session is
     observable end to end.
+
+    {1 Memory}
+
+    Each session reads every frame into one buffer of its own, grown to
+    the largest frame that session has sent and reused for every later
+    read; it is freed with the session.  Hits therefore allocate no
+    per-frame payload: a cache hit costs the key, the lookup and the
+    reply.  A queued miss holds a copy of its instance bytes (or its
+    parsed problem) until its batch has run.
 
     {1 Error handling}
 
@@ -233,8 +254,10 @@ val flush_cache : t -> unit
 
 val stats_text : t -> string
 (** The STATS response payload: one [key value] line per counter
-    (frames, rejections, answer- and profile-cache traffic incl.
-    evictions, certification verdicts, connections, requests, the
+    (frames, rejections, answer-cache traffic, [instances_decoded] —
+    binary payloads built into a problem, which only misses do —,
+    evictions, profile-cache traffic, certification verdicts,
+    connections, requests, the
     in-flight / peak / bound connection gauges, cache sizes, domains),
     then up to eight [connection <id> requests <n>] lines for the live
     sessions, then up to eight [profile <hash> <summary>] lines for

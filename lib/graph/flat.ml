@@ -764,19 +764,21 @@ let of_graph ?(rows = Auto) g =
   t.nedges <- Array.fold_left ( + ) 0 t.len / 2;
   t
 
-(* One bulk build.  Bindings are collected from the highest index
-   down, so the list comes out in increasing label order (labels ascend
-   with the index); [of_sorted_adjacency] re-checks the symmetry. *)
+(* One bulk build, one row at a time: live indices are walked upward,
+   so labels arrive in increasing order (labels ascend with the index),
+   and only the current row's neighbour list is alive; [of_rows]
+   re-checks the symmetry. *)
 let to_graph t =
-  let bindings = ref [] in
-  for v = t.cap - 1 downto 0 do
-    if is_live t v then begin
+  let rec rows v () =
+    if v >= t.cap then Seq.Nil
+    else if not (is_live t v) then rows (v + 1) ()
+    else begin
       let ns = ref [] in
       iter_neighbors t v (fun u -> ns := t.labels.(u) :: !ns);
-      bindings := (t.labels.(v), !ns) :: !bindings
+      Seq.Cons ((t.labels.(v), !ns), rows (v + 1))
     end
-  done;
-  Graph.of_sorted_adjacency !bindings
+  in
+  Graph.of_rows (rows 0)
 
 let copy t =
   {

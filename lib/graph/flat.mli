@@ -71,7 +71,7 @@ val of_graph : ?rows:rows -> Graph.t -> t
 
 val to_graph : t -> Graph.t
 (** Persistent snapshot of the live part, with original labels, built
-    in one bulk pass ({!Graph.of_sorted_adjacency}). *)
+    in one bulk pass that holds one row at a time ({!Graph.of_rows}). *)
 
 val copy : t -> t
 (** Independent copy (the undo log is not copied). *)

@@ -48,31 +48,36 @@ let of_edges ?(vertices = []) es =
   let g = List.fold_left add_vertex empty vertices in
   List.fold_left (fun g (u, v) -> add_edge g u v) g es
 
-let of_sorted_adjacency bindings =
+(* Symmetry is checked as the rows arrive: every entry (v, u) with
+   u < v must find v in u's finished set, and the entries with u > v
+   must be exactly as many.  Mirrors are distinct entries, so the
+   lower entries map one-to-one onto upper ones, and equal counts
+   leave no upper entry (nor a neighbour without a row) unmirrored. *)
+let of_rows rows =
+  let asymmetric () = invalid_arg "Graph.of_rows: asymmetric adjacency" in
+  let lower = ref 0 and upper = ref 0 and prev = ref None in
   let adj =
-    List.fold_left
+    Seq.fold_left
       (fun m (v, ns) ->
-        (match IMap.max_binding_opt m with
-        | Some (w, _) when w >= v ->
-            invalid_arg
-              "Graph.of_sorted_adjacency: vertices not strictly increasing"
-        | _ -> ());
+        (match !prev with
+        | Some w when w >= v ->
+            invalid_arg "Graph.of_rows: vertices not strictly increasing"
+        | _ -> prev := Some v);
         let s = ISet.of_list ns in
-        if ISet.mem v s then
-          invalid_arg "Graph.of_sorted_adjacency: self-loop";
+        ISet.iter
+          (fun u ->
+            if u > v then incr upper
+            else if u = v then invalid_arg "Graph.of_rows: self-loop"
+            else
+              match IMap.find u m with
+              | su when ISet.mem v su -> incr lower
+              | _ -> asymmetric ()
+              | exception Not_found -> asymmetric ())
+          s;
         IMap.add v s m)
-      IMap.empty bindings
+      IMap.empty rows
   in
-  IMap.iter
-    (fun v s ->
-      ISet.iter
-        (fun u ->
-          match IMap.find_opt u adj with
-          | Some su when ISet.mem v su -> ()
-          | _ ->
-              invalid_arg "Graph.of_sorted_adjacency: asymmetric adjacency")
-        s)
-    adj;
+  if !lower <> !upper then asymmetric ();
   { adj }
 
 let union g1 g2 =

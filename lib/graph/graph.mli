@@ -35,16 +35,17 @@ val of_edges : ?vertices:vertex list -> (vertex * vertex) list -> t
 (** Builds a graph from an edge list; [vertices] adds extra isolated
     vertices. *)
 
-val of_sorted_adjacency : (vertex * vertex list) list -> t
-(** Bulk constructor for loaders that already hold the full symmetric
-    adjacency: builds the graph in one pass from bindings in strictly
-    increasing vertex order, where each list holds exactly the
-    neighbors of its vertex (in any order) and every neighbor has a
-    binding of its own.  Much cheaper than repeated {!add_edge} on
-    large instances — the binary-format loader materializes through
-    it.  Raises [Invalid_argument] on out-of-order or duplicate
-    vertices, self-loops, or an asymmetric adjacency (including a
-    neighbor without a binding). *)
+val of_rows : (vertex * vertex list) Seq.t -> t
+(** Bulk constructor for loaders that can produce the full symmetric
+    adjacency one row at a time: each row [(v, neighbours of v)] (in
+    any order) is turned into its neighbour set as it arrives, so only
+    the current row's list is ever alive.  Rows come in strictly
+    increasing vertex order and every neighbour has a row of its own.
+    Much cheaper than repeated {!add_edge} on large instances — the
+    binary-format loader and {!Flat.to_graph} build through it.
+    Raises [Invalid_argument] on out-of-order or duplicate vertices,
+    self-loops, or an asymmetric adjacency (including a neighbour
+    without a row). *)
 
 val union : t -> t -> t
 (** Vertex- and edge-wise union. *)

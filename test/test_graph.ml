@@ -104,6 +104,29 @@ let test_union () =
   let u = G.union g1 g2 in
   check "both edges" true (G.mem_edge u 0 1 && G.mem_edge u 1 2)
 
+(* The row-at-a-time constructor: a path with an isolated vertex
+   builds equal to the edge-by-edge graph, and every broken adjacency —
+   including a one-sided entry whose mirror row is missing entirely — is
+   refused. *)
+let test_of_rows () =
+  let rows l = G.of_rows (List.to_seq l) in
+  check "equals add_edge build" true
+    (G.equal
+       (rows [ (1, [ 4 ]); (4, [ 9; 1 ]); (7, []); (9, [ 4 ]) ])
+       (G.add_vertex (G.of_edges [ (1, 4); (4, 9) ]) 7));
+  let refused what l =
+    match rows l with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "out of order" [ (2, [ 1 ]); (1, [ 2 ]) ];
+  refused "duplicate vertex" [ (1, []); (1, []) ];
+  refused "self-loop" [ (1, [ 1 ]) ];
+  refused "one-sided upper entry" [ (1, [ 2 ]); (2, []) ];
+  refused "one-sided lower entry" [ (1, []); (2, [ 1 ]) ];
+  refused "neighbour without a row" [ (1, [ 5 ]) ];
+  refused "lower entry to a missing row" [ (3, [ 2 ]) ]
+
 let test_map_vertices () =
   let g = G.of_edges [ (0, 1) ] in
   let h = G.map_vertices (fun v -> v + 10) g in
@@ -896,6 +919,7 @@ let () =
           Alcotest.test_case "components" `Quick test_components;
           Alcotest.test_case "union" `Quick test_union;
           Alcotest.test_case "map_vertices" `Quick test_map_vertices;
+          Alcotest.test_case "of_rows" `Quick test_of_rows;
         ] );
       ( "coloring",
         [

@@ -543,11 +543,38 @@ let test_binary_large () =
       | Error e ->
           Alcotest.failf "read_binary_file: %s" (Io.bin_error_to_string e))
 
+(* The keying entry point reads an encoding in place, at an offset
+   inside a longer string (the server's read buffer), and must reach
+   the verdict [of_binary] reaches on the bare bytes: the same error,
+   or on success the canonical hash of the decoded problem.  [pre]
+   bytes of 0xff go in front (an unaligned offset when not a multiple
+   of 4) and a stray magic behind, so reading past either end of the
+   range would show. *)
+let keyed_alike ~what ?(pre = 5) s =
+  let framed = String.make pre '\xff' ^ s ^ "RCBI" in
+  match
+    (Io.of_binary s, Io.key_binary framed ~pos:pre ~len:(String.length s))
+  with
+  | Ok p, Ok key ->
+      Alcotest.(check string)
+        (what ^ ": key = canonical_hash") (Io.canonical_hash p) key
+  | Error a, Error b ->
+      if a <> b then
+        Alcotest.failf "%s: of_binary says %s, key_binary says %s" what
+          (Io.bin_error_to_string a) (Io.bin_error_to_string b)
+  | Ok _, Error e ->
+      Alcotest.failf "%s: decodes, but key_binary refuses: %s" what
+        (Io.bin_error_to_string e)
+  | Error e, Ok _ ->
+      Alcotest.failf "%s: of_binary refuses (%s), key_binary accepts" what
+        (Io.bin_error_to_string e)
+
 let test_binary_malformed () =
   let p = Qcheck_gen.problem ~n:30 ~n_affinities:10 5 in
   let b = Io.to_binary p in
-  let expect what r pred =
-    match r with
+  let expect what s pred =
+    keyed_alike ~what s;
+    match Io.of_binary s with
     | Ok _ -> Alcotest.failf "%s: decoded successfully" what
     | Error e ->
         if not (pred e) then
@@ -558,33 +585,33 @@ let test_binary_malformed () =
     Bytes.set_int32_le c (4 * word) (Int32.of_int v);
     Bytes.to_string c
   in
+  keyed_alike ~what:"valid" b;
   expect "bad magic"
-    (Io.of_binary ("XCBI" ^ String.sub b 4 (String.length b - 4)))
+    ("XCBI" ^ String.sub b 4 (String.length b - 4))
     (function Io.Bin_bad_magic -> true | _ -> false);
-  expect "future version"
-    (Io.of_binary (patched ~word:1 99))
+  expect "future version" (patched ~word:1 99)
     (function Io.Bin_unsupported_version 99 -> true | _ -> false);
-  expect "non-zero reserved flags"
-    (Io.of_binary (patched ~word:6 1))
+  expect "non-zero reserved flags" (patched ~word:6 1)
     (function Io.Bin_bad_header _ -> true | _ -> false);
-  expect "non-positive k"
-    (Io.of_binary (patched ~word:2 0))
+  expect "non-positive k" (patched ~word:2 0)
     (function Io.Bin_bad_header _ -> true | _ -> false);
   expect "count lies about size"
-    (Io.of_binary (patched ~word:4 (G.num_edges p.graph + 1)))
+    (patched ~word:4 (G.num_edges p.graph + 1))
     (function Io.Bin_truncated _ -> true | _ -> false);
   expect "truncated mid-word"
-    (Io.of_binary (String.sub b 0 (String.length b - 2)))
+    (String.sub b 0 (String.length b - 2))
     (function Io.Bin_truncated _ -> true | _ -> false);
   expect "truncated at a word boundary"
-    (Io.of_binary (String.sub b 0 (String.length b - 4)))
+    (String.sub b 0 (String.length b - 4))
     (function Io.Bin_truncated _ -> true | _ -> false);
-  expect "missing file"
-    (Io.map_binary_file "/nonexistent/rcbi.bin")
-    (function Io.Bin_io _ -> true | _ -> false);
+  (match Io.map_binary_file "/nonexistent/rcbi.bin" with
+  | Error (Io.Bin_io _) -> ()
+  | Error e -> Alcotest.failf "missing file: wrong error %s" (Io.bin_error_to_string e)
+  | Ok _ -> Alcotest.fail "missing file: decoded successfully");
   (* Arbitrary corruption must yield Ok or a typed error — never an
      exception.  (A single flipped byte can still decode: e.g. a weight
-     byte.  The guarantee under test is totality, not rejection.) *)
+     byte.  The guarantee under test is totality, not rejection.)  The
+     keyed read of the same bytes at an offset must agree. *)
   Qcheck_gen.run_seeds ~name:"server.binary-mutations" ~count:100 (fun seed ->
       let rng = Random.State.make [| seed; 0xb1a5 |] in
       let c = Bytes.of_string b in
@@ -598,7 +625,35 @@ let test_binary_malformed () =
           Bytes.sub_string c 0 (Random.State.int rng (Bytes.length c))
         else Bytes.to_string c
       in
-      match Io.of_binary s with Ok _ | Error _ -> ())
+      keyed_alike
+        ~what:(Printf.sprintf "mutation %d" seed)
+        ~pre:(1 + (seed mod 8))
+        s)
+
+(* Keying a valid payload in place gives the canonical hash of the
+   problem it decodes to, so binary requests share cache keys with the
+   text requests (parsed, then hashed) for the same instance. *)
+let test_key_binary () =
+  Qcheck_gen.run_seeds ~name:"server.key-binary" ~count:40 (fun seed ->
+      List.iter
+        (fun cls ->
+          let p =
+            Qcheck_gen.problem_in ~cls
+              ~n:(10 + (seed mod 40))
+              ~density:0.15 ~affinity_fraction:0.4 seed
+          in
+          keyed_alike
+            ~what:(Printf.sprintf "%s seed %d" (Qcheck_gen.cls_name cls) seed)
+            ~pre:(seed mod 9) (Io.to_binary p))
+        Qcheck_gen.[ Chordal; Gnp; Interval ]);
+  Qcheck_gen.run_seeds ~name:"server.key-binary-synthetic" ~count:4
+    (fun seed ->
+      let n = if seed <= 2 then 1_000 else 10_000 in
+      let { Rc_challenge.Challenge.problem = p; _ } =
+        Rc_challenge.Challenge.synthetic ~seed ~n ~maxlive:12 ()
+      in
+      keyed_alike ~what:(Printf.sprintf "synthetic n=%d seed %d" n seed)
+        (Io.to_binary p))
 
 (* ------------------------------------------------------------------ *)
 (* Text format exactness                                               *)
@@ -742,6 +797,56 @@ let test_sanitize_counters () =
   Alcotest.(check bool)
     "certifications recorded" true
     (Sanitize.certified_ok () >= ok0 + 8)
+
+(* The STATS frame's counters, by name. *)
+let stats_counters fd =
+  Client.send_stats fd;
+  match Client.recv fd with
+  | Client.Resp (Client.Stats s) ->
+      List.filter_map
+        (fun l ->
+          match String.split_on_char ' ' l with
+          | [ k; v ] -> Option.map (fun v -> (k, v)) (int_of_string_opt v)
+          | _ -> None)
+        (String.split_on_char '\n' s)
+  | _ -> Alcotest.fail "expected STATS"
+
+(* A binary cache hit is answered from the frame bytes: the problem is
+   built only for a miss.  Twenty distinct instances submitted twice:
+   the first round decodes each once, the second decodes nothing. *)
+let test_hit_builds_no_problem () =
+  let bins =
+    List.init 20 (fun i ->
+        Io.to_binary (Qcheck_gen.problem ~n:(12 + i) ~n_affinities:5 (300 + i)))
+  in
+  Alcotest.(check int) "twenty distinct instances" 20
+    (List.length (List.sort_uniq compare bins));
+  with_serving (fun _ path ->
+      let fd = connect_with_timeout path in
+      Fun.protect
+        ~finally:(fun () -> Client.close fd)
+        (fun () ->
+          let round () =
+            let before = stats_counters fd in
+            List.iter (Client.send_solve fd ~encoding:`Binary) bins;
+            Client.send_flush fd;
+            List.iteri
+              (fun i _ -> ignore (recv_answer ~what:(Printf.sprintf "solve %d" i) fd))
+              bins;
+            let after = stats_counters fd in
+            fun key ->
+              match (List.assoc_opt key before, List.assoc_opt key after) with
+              | Some x, Some y -> y - x
+              | _ -> Alcotest.failf "STATS lacks %s" key
+          in
+          let d1 = round () in
+          Alcotest.(check int) "round 1: 20 misses" 20 (d1 "cache_misses");
+          Alcotest.(check int) "round 1: 20 decodes" 20 (d1 "instances_decoded");
+          Alcotest.(check int) "round 1: no hits" 0 (d1 "cache_hits");
+          let d2 = round () in
+          Alcotest.(check int) "round 2: 20 hits" 20 (d2 "cache_hits");
+          Alcotest.(check int) "round 2: no misses" 0 (d2 "cache_misses");
+          Alcotest.(check int) "round 2: no decodes" 0 (d2 "instances_decoded")))
 
 (* An [all] answer in the cache serves later single-strategy requests
    for the same instance: the reply is the stats line plus that
@@ -910,6 +1015,8 @@ let () =
             test_binary_large;
           Alcotest.test_case "malformed bytes: typed errors" `Quick
             test_binary_malformed;
+          Alcotest.test_case "in-place key = canonical hash" `Quick
+            test_key_binary;
         ] );
       ( "text",
         [
@@ -922,6 +1029,8 @@ let () =
             test_shutdown_drain;
           Alcotest.test_case "sanitize counters advance" `Quick
             test_sanitize_counters;
+          Alcotest.test_case "a binary cache hit builds no problem" `Quick
+            test_hit_builds_no_problem;
           Alcotest.test_case "all answer subsumes single strategies" `Quick
             test_all_subsumes_single;
           Alcotest.test_case "LRU eviction and explicit flush_cache" `Quick
