@@ -276,9 +276,24 @@ let view_problem v =
     end
   in
   let graph = G.of_rows (rows 0) in
+  (* Validated affinities are strictly sorted index pairs (i < j) over a
+     strictly increasing vertex table, with non-negative weights: as
+     vertex-id records they are already in the order, and free of the
+     self-pairs and duplicates, that [Problem.make]'s normalization
+     would produce, so the list is built as it stands. *)
+  let base = affinity_base v in
   let affinities = ref [] in
-  iter_view_affinities v (fun u w wt -> affinities := ((u, w), wt) :: !affinities);
-  Rc_core.Problem.make ~graph ~affinities:(List.rev !affinities) ~k:v.vk
+  for a = v.na - 1 downto 0 do
+    let at = base + (3 * a) in
+    affinities :=
+      {
+        Rc_core.Problem.u = view_vertex v (word v.src at);
+        v = view_vertex v (word v.src (at + 1));
+        weight = word v.src (at + 2);
+      }
+      :: !affinities
+  done;
+  { Rc_core.Problem.graph; affinities = !affinities; k = v.vk }
 
 (* ---- encoding ---------------------------------------------------- *)
 
@@ -481,9 +496,25 @@ let canonical_hash p = hash_binary (to_binary p)
 (* Validated RCBI bytes are the canonical encoding of the problem they
    decode to, so hashing them in place is [canonical_hash] of that
    problem without building it. *)
-let key_binary s ~pos ~len =
+let key_view s ~pos ~len =
   if pos < 0 || len < 0 || pos > String.length s - len then
-    invalid_arg "Instance_io.key_binary: range outside the string";
+    invalid_arg "Instance_io: keyed range outside the string";
   match validate_string s ~pos ~len with
-  | Ok _ -> Ok (hex (fnv1a s ~pos ~len))
+  | Ok v -> Ok (hex (fnv1a s ~pos ~len), v)
   | Error _ as e -> e
+
+let key_binary s ~pos ~len = Result.map fst (key_view s ~pos ~len)
+
+let copy_view v =
+  let words = header_words + v.nv + (2 * v.ne) + (3 * v.na) in
+  let src =
+    match v.src with
+    | In_string (s, base) -> String.sub s base (4 * words)
+    | In_bigarray a ->
+        let b = Bytes.create (4 * words) in
+        for i = 0 to words - 1 do
+          Bytes.set_int32_le b (4 * i) (Bigarray.Array1.get a i)
+        done;
+        Bytes.unsafe_to_string b
+  in
+  { v with src = In_string (src, 0) }

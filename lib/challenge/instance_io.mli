@@ -128,7 +128,9 @@ val iter_view_affinities : view -> (int -> int -> int -> unit) -> unit
 val view_problem : view -> Rc_core.Problem.t
 (** Materialize as a persistent-graph problem: the adjacency is
     gathered in one unboxed int buffer and handed to
-    {!Rc_graph.Graph.of_rows} one row at a time. *)
+    {!Rc_graph.Graph.of_rows} one row at a time, and the affinity
+    section, validated into canonical order, becomes the normalized
+    affinity list as it stands. *)
 
 val view_flat :
   ?rows:Rc_graph.Flat.rows -> view -> Rc_graph.Flat.t * int array
@@ -136,6 +138,18 @@ val view_flat :
     [nv] through {!Rc_graph.Flat.add_new_edge} (the validated
     sortedness guarantees each edge arrives once with [i < j]).
     Returns the kernel and the dense-index-to-vertex-id table. *)
+
+val key_view : string -> pos:int -> len:int -> (string * view, bin_error) result
+(** {!key_binary} that also returns the validated view over the bytes
+    where they lie.  The view reads [s] in place, so it lasts only as
+    long as those bytes do; {!copy_view} detaches it. *)
+
+val copy_view : view -> view
+(** The same view over a private copy of its words.  Nothing is
+    validated again: a view only ever comes out of the validator.  The
+    server keys a binary SOLVE in its read buffer with {!key_view} and
+    copies the view out on a miss, so the solve task decodes
+    ({!view_problem}) without re-checking the bytes. *)
 
 (** {2 Files} *)
 

@@ -16,14 +16,31 @@
       spurious);
     - the coalesced / gave-up affinity split matches the classes, and
       the claimed removed-move weight is the recomputed one;
-    - under the {!Conservative} claim, the merged graph is
-      greedy-k-colorable, re-established from scratch on the
-      persistent-path {!Rc_graph.Greedy_k.Reference} kernel;
+    - under the {!Conservative} claim, the merged graph {e as given} is
+      greedy-k-colorable, re-established by the certifier's own peeling
+      (a degree array and a worklist over int rows: the stamped
+      quotient rows when they equal the merged graph, the merged
+      graph's own rows otherwise) — it shares no code with
+      {!Rc_graph.Greedy_k} or {!Rc_graph.Flat};
     - under the {!Chordality_preserved} claim, a chordal input keeps a
       chordal merged graph ({!Rc_graph.Chordal.Reference}).
 
-    The certifier runs in O((V + E) * alpha + A + greedy-check); perfbench
-    measures it per request ([certify.ms_p50], [certify.ms_tail]). *)
+    Cost: O(V + E) plus O(A log (V + A)) for the affinity bookkeeping
+    ({!Rc_core.Problem.validate}, and bisection in the problem's sorted
+    affinity list), plus the chordality check when it is claimed.  On
+    a correct answer it allocates a few words per vertex, edge and
+    affinity (test_check pins the bound at 10^3 to 10^5 vertices).
+    One walk of each graph's rows builds dense int arrays: a vertex
+    table indexed directly (or hashed, for a sparse label range), a
+    class id per vertex, and quotient rows stamped from the class
+    members' rows and compared with the merged graph's rows by size
+    and membership.  No persistent quotient is built; sorting happens
+    only to list the violations of a failing answer, in the order a
+    label-ordered comparison of persistent graphs reports them (the
+    test-only oracle [Rc_oracle.Certify_oracle] is that comparison,
+    and test_check holds the two to identical reports).  perfbench
+    measures it per request ([certify.ms_p50], [certify.ms_tail],
+    [certify.alloc_kw_p50]). *)
 
 module Graph = Rc_graph.Graph
 module Problem = Rc_core.Problem

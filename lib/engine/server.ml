@@ -467,24 +467,24 @@ let cache_key t ~hash ~stoken =
   String.concat "|"
     [ hash; stoken; rows_token t.config.rows; dispatch_token t.config.dispatch ]
 
-(* The instance a fresh solve needs: RCBI bytes copied out of the read
-   buffer (decoded inside the solve task), or the problem a text
-   request was parsed into to be keyed. *)
-type instance = Rcbi of string | Parsed of Problem.t
+(* The instance a fresh solve needs: the validated view of RCBI bytes
+   copied out of the read buffer (decoded inside the solve task), or
+   the problem a text request was parsed into to be keyed. *)
+type instance = Rcbi of Instance_io.view | Parsed of Problem.t
 
 type keyed = {
   strategies : Strategies.t list;
   stoken : string;  (* strategy component of [key] ("all" for the set) *)
   hash : string;  (* canonical instance hash, shared across strategies *)
   key : string;
-  source : [ `At of int * int | `Parsed of Problem.t ];
-      (* binary: where the validated instance bytes sit in the payload *)
+  source : [ `View of Instance_io.view | `Parsed of Problem.t ];
+      (* binary: the validated instance, still over the payload's bytes *)
 }
 
 (* Keys one SOLVE payload, held in bytes [0, len) of [payload] (the
    session's read buffer, which the next read overwrites).  A binary
    instance is validated and hashed in place
-   ({!Instance_io.key_binary}), so nothing is copied or built before the
+   ({!Instance_io.key_view}), so nothing is copied or built before the
    cache has been asked; a text instance is parsed, then hashed through
    its canonical encoding — the same key.  Must not raise: every failure
    is the request's typed refusal. *)
@@ -527,8 +527,8 @@ let key_solve t payload len : (keyed, Protocol.error) result =
     let* hash, source =
       match enc with
       | 0 -> (
-          match Instance_io.key_binary payload ~pos ~len:ilen with
-          | Ok hash -> Ok (hash, `At (pos, ilen))
+          match Instance_io.key_view payload ~pos ~len:ilen with
+          | Ok (hash, view) -> Ok (hash, `View view)
           | Error e ->
               Error (Protocol.Bad_instance (Instance_io.bin_error_to_string e)))
       | _ -> (
@@ -550,15 +550,10 @@ let solve_and_render t ((k : keyed), instance) :
     let problem =
       match instance with
       | Parsed p -> p
-      | Rcbi bytes -> (
-          match Instance_io.of_binary bytes with
-          | Ok p ->
-              Sanitize.note_instance_decoded ();
-              p
-          | Error e ->
-              invalid_arg
-                ("Server: bytes key_binary accepted fail of_binary's shared \
-                  validator: " ^ Instance_io.bin_error_to_string e))
+      | Rcbi view ->
+          let p = Instance_io.view_problem view in
+          Sanitize.note_instance_decoded ();
+          p
     in
     let config =
       {
@@ -690,7 +685,7 @@ let enqueue t b payload len =
                 Hashtbl.add b.slots k.key slot;
                 let instance =
                   match k.source with
-                  | `At (pos, ilen) -> Rcbi (String.sub payload pos ilen)
+                  | `View view -> Rcbi (Instance_io.copy_view view)
                   | `Parsed p -> Parsed p
                 in
                 b.fresh <- (k, instance) :: b.fresh;

@@ -239,9 +239,9 @@ let find_chordless_cycle g =
     !result
 
 (* ------------------------------------------------------------------ *)
-(* Reference implementations on the persistent representation, kept as
-   the baseline for equivalence property tests and the old-vs-new
-   benchmark trajectory (bench/main.ml, BENCH_*.json).                 *)
+(* Reference implementations on the persistent representation: the
+   independent re-derivation Lint and the certifier's chordality claim
+   run, and the baseline the flat versions are tested against.          *)
 (* ------------------------------------------------------------------ *)
 
 module Reference = struct
@@ -273,33 +273,35 @@ module Reference = struct
       let max_w = ref 0 in
       let visit_order = ref [] in
       for _ = 1 to n do
+        (* Bucket 0 keeps every vertex until it is visited, so while one
+           of the [n] visits is still to come, the scan finds an
+           unvisited vertex at weight 0 at the latest. *)
         let rec pick w =
-          if w < 0 then None
-          else
-            let s =
-              ISet.filter (fun v -> not (Hashtbl.mem visited v)) (bucket w)
-            in
-            Hashtbl.replace buckets w s;
-            match ISet.choose_opt s with
-            | Some v -> Some (v, w)
-            | None -> pick (w - 1)
+          let s =
+            ISet.filter (fun v -> not (Hashtbl.mem visited v)) (bucket w)
+          in
+          Hashtbl.replace buckets w s;
+          match ISet.choose_opt s with
+          | Some v -> (v, w)
+          | None when w > 0 -> pick (w - 1)
+          | None ->
+              invalid_arg
+                "Chordal.Reference.mcs_order: no unvisited vertex left in \
+                 bucket 0 before every vertex was visited"
         in
-        match pick !max_w with
-        | None -> assert false
-        | Some (v, w) ->
-            max_w := w;
-            Hashtbl.replace visited v ();
-            visit_order := v :: !visit_order;
-            ISet.iter
-              (fun u ->
-                if not (Hashtbl.mem visited u) then begin
-                  let wu = Hashtbl.find weight u in
-                  Hashtbl.replace weight u (wu + 1);
-                  Hashtbl.replace buckets (wu + 1)
-                    (ISet.add u (bucket (wu + 1)));
-                  if wu + 1 > !max_w then max_w := wu + 1
-                end)
-              (Graph.neighbors g v)
+        let v, w = pick !max_w in
+        max_w := w;
+        Hashtbl.replace visited v ();
+        visit_order := v :: !visit_order;
+        ISet.iter
+          (fun u ->
+            if not (Hashtbl.mem visited u) then begin
+              let wu = Hashtbl.find weight u in
+              Hashtbl.replace weight u (wu + 1);
+              Hashtbl.replace buckets (wu + 1) (ISet.add u (bucket (wu + 1)));
+              if wu + 1 > !max_w then max_w := wu + 1
+            end)
+          (Graph.neighbors g v)
       done;
       !visit_order
     end

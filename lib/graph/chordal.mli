@@ -97,8 +97,11 @@ val flat_is_chordal : Flat.t -> bool
 (** {1 Reference implementations}
 
     The pre-flat-kernel code paths on the persistent {!Graph}
-    representation, kept as the baseline for equivalence property tests
-    and the old-vs-new benchmark trajectory ([bench --json]). *)
+    representation, kept as the independent re-derivation that
+    [Rc_check.Lint] and the certifier's chordality claim run, and as
+    the baseline for equivalence property tests.  [mcs_order] raises
+    [Invalid_argument] if its bucket scan ever runs dry early (an
+    internal invariant, not an input condition). *)
 
 module Reference : sig
   val mcs_order : Graph.t -> Graph.vertex list

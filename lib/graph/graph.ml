@@ -97,6 +97,8 @@ let num_vertices g = IMap.cardinal g.adj
 
 let fold_vertices f g init = IMap.fold (fun v _ acc -> f v acc) g.adj init
 
+let fold_rows f g init = IMap.fold f g.adj init
+
 let fold_edges f g init =
   IMap.fold
     (fun u ns acc ->

@@ -76,6 +76,12 @@ val max_vertex : t -> vertex
     gadget constructions are typically allocated as [max_vertex g + 1]. *)
 
 val fold_vertices : (vertex -> 'a -> 'a) -> t -> 'a -> 'a
+
+val fold_rows : (vertex -> ISet.t -> 'a -> 'a) -> t -> 'a -> 'a
+(** Folds over the vertices in increasing order, each with its
+    neighbour set: one walk of the adjacency, with no per-vertex
+    lookup. *)
+
 val iter_edges : (vertex -> vertex -> unit) -> t -> unit
 val fold_edges : (vertex -> vertex -> 'a -> 'a) -> t -> 'a -> 'a
 

@@ -1,5 +1,4 @@
 module ISet = Graph.ISet
-module IMap = Graph.IMap
 
 (* The greedy-k elimination scheme on the flat kernel: a plain array
    worklist of low-degree indices, O(V + E) with no allocation beyond
@@ -265,41 +264,3 @@ let coloring_number g =
     let f = Flat.of_graph g in
     let order = Array.make (Flat.capacity f) 0 in
     1 + flat_smallest_last f ~order
-
-(* ------------------------------------------------------------------ *)
-(* Reference elimination on the persistent representation: the
-   pre-flat-kernel code path, kept as the independent re-derivation
-   the certifier (Rc_check.Certify) checks answers with.               *)
-(* ------------------------------------------------------------------ *)
-
-module Reference = struct
-  let is_greedy_k_colorable g k =
-    let degrees =
-      List.fold_left (fun m v -> IMap.add v (Graph.degree g v) m) IMap.empty
-        (Graph.vertices g)
-    in
-    let low =
-      IMap.fold (fun v d acc -> if d < k then v :: acc else acc) degrees []
-    in
-    let rec loop removed degrees low =
-      match low with
-      | [] -> removed
-      | v :: low ->
-          if ISet.mem v removed then loop removed degrees low
-          else
-            let removed = ISet.add v removed in
-            let degrees, low =
-              ISet.fold
-                (fun u (degrees, low) ->
-                  if ISet.mem u removed then (degrees, low)
-                  else
-                    let d = IMap.find u degrees - 1 in
-                    let degrees = IMap.add u d degrees in
-                    let low = if d = k - 1 then u :: low else low in
-                    (degrees, low))
-                (Graph.neighbors g v) (degrees, low)
-            in
-            loop removed degrees low
-    in
-    ISet.cardinal (loop ISet.empty degrees low) = Graph.num_vertices g
-end

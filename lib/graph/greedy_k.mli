@@ -73,13 +73,3 @@ val flat_smallest_last : Flat.t -> order:int array -> int
     into [order.(0 .. num_live - 1)] ([order] must be at least
     [capacity]-sized) and returns the degeneracy, i.e. col(G) - 1.
     Returns 0 on an empty graph. *)
-
-(** {1 Reference implementation}
-
-    The pre-flat-kernel elimination on the persistent {!Graph}
-    representation, kept as the independent re-derivation the
-    certifier ([Rc_check.Certify]) checks answers with. *)
-
-module Reference : sig
-  val is_greedy_k_colorable : Graph.t -> int -> bool
-end

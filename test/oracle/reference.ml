@@ -1,10 +1,11 @@
 (* Test-only persistent-graph references of the merge-heavy searches
-   and of the smallest-last order: the code paths from before the flat
+   and of the greedy-k kernels: the code paths from before the flat
    kernel and its speculation context, on the persistent
    [Coalescing.state] (one persistent merge per probe, one rebuild of
    the merge state per de-coalescing split) and the persistent [Graph].
-   test_search_equiv holds the library's searches to them, and
-   test_graph its flat smallest-last order and coloring number. *)
+   test_search_equiv holds the library's searches to them, test_graph
+   its flat greedy-k verdict, smallest-last order and coloring number,
+   and the certifier oracle peels merged graphs with them. *)
 
 module Graph = Rc_graph.Graph
 module ISet = Graph.ISet
@@ -173,6 +174,39 @@ module Set_coalescing = struct
 end
 
 module Greedy_k = struct
+  (* The greedy-k elimination scheme on persistent maps: a degree map and
+     a list of low-degree vertices, each removal re-read through the
+     neighbour set. *)
+  let is_greedy_k_colorable g k =
+    let degrees =
+      List.fold_left (fun m v -> IMap.add v (Graph.degree g v) m) IMap.empty
+        (Graph.vertices g)
+    in
+    let low =
+      IMap.fold (fun v d acc -> if d < k then v :: acc else acc) degrees []
+    in
+    let rec loop removed degrees low =
+      match low with
+      | [] -> removed
+      | v :: low ->
+          if ISet.mem v removed then loop removed degrees low
+          else
+            let removed = ISet.add v removed in
+            let degrees, low =
+              ISet.fold
+                (fun u (degrees, low) ->
+                  if ISet.mem u removed then (degrees, low)
+                  else
+                    let d = IMap.find u degrees - 1 in
+                    let degrees = IMap.add u d degrees in
+                    let low = if d = k - 1 then u :: low else low in
+                    (degrees, low))
+                (Graph.neighbors g v) (degrees, low)
+            in
+            loop removed degrees low
+    in
+    ISet.cardinal (loop ISet.empty degrees low) = Graph.num_vertices g
+
   let smallest_last_order g =
     let degrees =
       List.fold_left (fun m v -> IMap.add v (Graph.degree g v) m) IMap.empty

@@ -30,9 +30,12 @@ module Conservative = Rc_core.Conservative
 module Optimistic = Rc_core.Optimistic
 module Exact = Rc_core.Exact
 module Set_coalescing = Rc_core.Set_coalescing
+module Strategies = Rc_core.Strategies
+module Challenge = Rc_challenge.Challenge
 module Lint = Rc_check.Lint
 module Sanitize = Rc_check.Sanitize
 module Certify = Rc_check.Certify
+module Certify_oracle = Rc_oracle.Certify_oracle
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -548,6 +551,256 @@ let test_mutation_classes () =
          .violations)
 
 (* ------------------------------------------------------------------ *)
+(* The array certifier against its persistent oracle                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The conservative claim on every case, so the greedy-k peel runs on
+   the stamped quotient and on merged graphs that differ from it; the
+   chordality claim (one shared check) on uncorrupted answers. *)
+let assert_same_report ?(claims = [ Certify.Conservative ]) ctx p a =
+  let got = (Certify.certify ~claims p a).violations
+  and want = (Certify_oracle.certify ~claims p a).violations in
+  if got <> want then
+    Alcotest.failf "%s: certifier reports [%s], oracle [%s]" ctx
+      (String.concat "; " (List.map Certify.violation_to_string got))
+      (String.concat "; " (List.map Certify.violation_to_string want))
+
+(* Every heuristic the server certifies, plus aggressive, whose answers
+   are often not conservative. *)
+let certified_heuristics =
+  List.filter
+    (function Strategies.Irc _ -> false | _ -> true)
+    Strategies.all_heuristics
+
+(* serve-miss's instances: single-region programs of the five preset
+   shapes at k = 6. *)
+let miss_shapes =
+  Array.of_list
+    (List.map
+       (fun (_, (c : Rc_ir.Randprog.config)) -> { c with regions = 1 })
+       Challenge.presets)
+
+let miss_problem seed =
+  (Challenge.generate ~seed
+     ~config:miss_shapes.(seed mod Array.length miss_shapes)
+     ~k:6 ())
+    .problem
+
+(* The corruption classes of [test_mutation_classes] at positions drawn
+   from [rng] (its two claim classes, false conservativeness and lost
+   chordality, come from the aggressive answers and the path merges
+   below), plus the partition, merged-vertex and affinity-bookkeeping
+   forgeries those do not reach. *)
+let corruptions rng (p : Problem.t) (a : Certify.answer) =
+  let out = ref [] in
+  let emit name ?(p = p) a' = out := (name, p, a') :: !out in
+  let pick = function
+    | [] -> None
+    | l -> Some (List.nth l (Random.State.int rng (List.length l)))
+  in
+  let mg = a.merged_graph in
+  let fresh = G.max_vertex p.graph + 1 + Random.State.int rng 5 in
+  let without x = List.filter (fun y -> y <> x) in
+  Option.iter
+    (fun (u, v) ->
+      emit "dropped merged edge" { a with merged_graph = G.remove_edge mg u v })
+    (pick (G.edges mg));
+  (let reps = List.filter (G.mem_vertex mg) (List.map fst a.classes) in
+   List.concat_map
+     (fun r ->
+       List.filter_map
+         (fun r' ->
+           if r < r' && not (G.mem_edge mg r r') then Some (r, r') else None)
+         reps)
+     reps
+   |> pick
+   |> Option.iter (fun (r, r') ->
+          emit "spurious merged edge" { a with merged_graph = G.add_edge mg r r' }));
+  emit "inflated weight"
+    { a with claimed_weight = a.claimed_weight + 1 + Random.State.int rng 9 };
+  Option.iter
+    (fun m ->
+      emit "given-up affinity claimed coalesced"
+        { a with coalesced = m :: a.coalesced; gave_up = without m a.gave_up })
+    (pick a.gave_up);
+  Option.iter
+    (fun m ->
+      emit "coalesced affinity claimed given up"
+        { a with gave_up = m :: a.gave_up; coalesced = without m a.coalesced })
+    (pick a.coalesced);
+  Option.iter
+    (fun (u, v) ->
+      let cu = List.assoc u a.classes and cv = List.assoc v a.classes in
+      emit "adjacent classes fused"
+        {
+          a with
+          classes =
+            (u, cu @ cv) :: List.filter (fun (r, _) -> r <> u && r <> v) a.classes;
+        })
+    (pick (G.edges mg));
+  Option.iter
+    (fun (r, _) ->
+      emit "class dropped"
+        { a with classes = List.filter (fun (r', _) -> r' <> r) a.classes })
+    (pick a.classes);
+  (match (pick a.classes, pick (G.vertices p.graph)) with
+  | Some (r, _), Some x ->
+      emit "vertex in two classes"
+        {
+          a with
+          classes =
+            List.map
+              (fun (r', ms) -> if r' = r then (r', ms @ [ x ]) else (r', ms))
+              a.classes;
+        };
+      emit "representative outside its class"
+        {
+          a with
+          classes =
+            List.map
+              (fun (r', ms) -> if r' = r then (x, without x ms) else (r', ms))
+              a.classes;
+        };
+      emit "unknown class member"
+        {
+          a with
+          classes =
+            List.map
+              (fun (r', ms) -> if r' = r then (r', fresh :: ms) else (r', ms))
+              a.classes;
+        }
+  | _ -> ());
+  Option.iter
+    (fun r ->
+      emit "merged vertex removed" { a with merged_graph = G.remove_vertex mg r };
+      emit "spurious merged vertex" { a with merged_graph = G.add_edge mg fresh r })
+    (pick (G.vertices mg));
+  emit "merged graph replaced by the problem graph"
+    { a with merged_graph = p.graph };
+  Option.iter
+    (fun (m : Problem.affinity) ->
+      emit "coalesced affinity dropped" { a with coalesced = without m a.coalesced };
+      emit "coalesced affinity listed twice" { a with coalesced = m :: a.coalesced };
+      emit "coalesced affinity reversed"
+        { a with coalesced = { m with u = m.v; v = m.u } :: without m a.coalesced })
+    (pick a.coalesced);
+  Option.iter
+    (fun (m : Problem.affinity) ->
+      emit "given-up affinity dropped" { a with gave_up = without m a.gave_up };
+      emit ~p:{ p with affinities = m :: p.affinities }
+        "problem affinity duplicated" a)
+    (pick a.gave_up);
+  emit "unknown affinity listed"
+    {
+      a with
+      gave_up = { Problem.u = fresh; v = fresh + 1; weight = 1 } :: a.gave_up;
+    };
+  emit ~p:{ p with affinities = List.rev p.affinities } "problem affinities reversed" a;
+  List.rev !out
+
+(* The instance and answer under an injective relabelling. *)
+let relabel f (p : Problem.t) (a : Certify.answer) =
+  let aff (x : Problem.affinity) = { x with u = f x.u; v = f x.v } in
+  ( {
+      p with
+      graph = G.map_vertices f p.graph;
+      affinities = List.map aff p.affinities;
+    },
+    {
+      a with
+      classes = List.map (fun (r, ms) -> (f r, List.map f ms)) a.classes;
+      merged_graph = G.map_vertices f a.merged_graph;
+      coalesced = List.map aff a.coalesced;
+      gave_up = List.map aff a.gave_up;
+    } )
+
+let test_certifier_vs_oracle () =
+  let solve s p =
+    Certify.answer_of_solution (Strategies.run_cfg Strategies.default_config s p)
+  in
+  let claims = [ Certify.Conservative; Certify.Chordality_preserved ] in
+  run_seeds ~name:"certify_vs_oracle" ~count:200 (fun seed ->
+      let rng = Random.State.make [| seed; 0xce27 |] in
+      (* Every certified heuristic's answer, then the corruptions of one
+         conservative answer. *)
+      let family name p a =
+        List.iter
+          (fun s ->
+            assert_same_report ~claims
+              (Printf.sprintf "%s seed %d, %s" name seed (Strategies.name s))
+              p (solve s p))
+          certified_heuristics;
+        List.iter
+          (fun (corruption, p', a') ->
+            assert_same_report
+              (Printf.sprintf "%s seed %d, %s" name seed corruption)
+              p' a')
+          (corruptions rng p a)
+      in
+      let brute = Strategies.Conservative Conservative.Brute_force in
+      let p = random_problem ~n:12 ~n_affinities:6 seed in
+      let a = solve brute p in
+      family "random" p a;
+      (* Labels spread far apart: the certifier's hashed vertex index. *)
+      let sparse, a_sparse = relabel (fun v -> (1000 * v) + seed) p a in
+      family "sparse labels" sparse a_sparse;
+      let q = miss_problem seed in
+      family "serve-miss" q
+        (solve (Strategies.Conservative Conservative.Briggs_george) q);
+      (* Merging the ends of a path: chordality is lost once the cycle
+         it closes has four or more vertices. *)
+      let len = 4 + (seed mod 7) in
+      let path = G.path len in
+      let p = Problem.make ~graph:path ~affinities:[ ((0, len - 1), 1) ] ~k:2 in
+      match Coalescing.merge (Coalescing.initial path) 0 (len - 1) with
+      | None -> Alcotest.fail "path-end merge refused"
+      | Some st ->
+          assert_same_report ~claims
+            (Printf.sprintf "path %d" len)
+            p
+            (Certify.answer_of_solution (Coalescing.solution_of_state p st)))
+
+(* Certification is O(n + m), pinned by allocation rather than time,
+   after test_search_equiv's merge-chain test: certifying a
+   conservative answer on [Challenge.synthetic] instances of 10^3, 10^4
+   and 10^5 vertices must allocate fewer than
+   [certify_words_per_element] words per |V| + |E| + |A| at every size
+   (minimum of three trials, each from an empty minor heap).  A
+   certifier that rebuilds the quotient as a persistent graph allocates
+   200 to 350 words per element here, growing with log n. *)
+let certify_words_per_element = 16.0
+
+let test_certifier_allocation () =
+  List.iter
+    (fun n ->
+      let p = (Challenge.synthetic ~seed:n ~n ~maxlive:12 ()).problem in
+      let a =
+        Certify.answer_of_solution
+          (Conservative.coalesce Conservative.Briggs_george p)
+      in
+      let size =
+        G.num_vertices p.graph + G.num_edges p.graph + List.length p.affinities
+      in
+      let best = ref infinity in
+      for _ = 1 to 3 do
+        Gc.minor ();
+        let before = Gc.allocated_bytes () in
+        let report = Certify.certify ~claims:[ Certify.Conservative ] p a in
+        let after = Gc.allocated_bytes () in
+        check (Printf.sprintf "answer certifies (n = %d)" n) true
+          (Certify.ok report);
+        best :=
+          Float.min !best ((after -. before) /. float_of_int (Sys.word_size / 8))
+      done;
+      let per_element = !best /. float_of_int size in
+      check
+        (Printf.sprintf "n = %d: %.1f words per element, under %.0f" n
+           per_element certify_words_per_element)
+        true
+        (per_element < certify_words_per_element))
+    [ 1_000; 10_000; 100_000 ]
+
+(* ------------------------------------------------------------------ *)
 (* Layer 2: sanitizer                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -650,6 +903,10 @@ let () =
             test_certifier_merge_log;
           Alcotest.test_case "mutation classes are rejected" `Quick
             test_mutation_classes;
+          Alcotest.test_case "same violations as the oracle (200 seeds)"
+            `Quick test_certifier_vs_oracle;
+          Alcotest.test_case "certification allocates O(n + m)" `Quick
+            test_certifier_allocation;
         ] );
       ( "sanitize",
         [

@@ -772,7 +772,7 @@ let prop_flat_greedy_k_agrees =
       && List.for_all
            (fun k ->
              Greedy_k.is_greedy_k_colorable g k
-             = Greedy_k.Reference.is_greedy_k_colorable g k)
+             = Rc_oracle.Reference.Greedy_k.is_greedy_k_colorable g k)
            [ 1; 2; max 1 (col_ref - 1); col_ref; col_ref + 1 ])
 
 let prop_flat_chordal_agrees =
