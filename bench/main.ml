@@ -104,8 +104,9 @@ let report_speedup rows ~what ~old_label ~new_label =
 
 (* PR 4 made Flat's row representation adaptive.  This section holds
    the same seeded Batagelj–Brandes G(n, p) edge stream in one kernel
-   per row policy — int rows, the adaptive default, and forced
-   bitsets — and times the three workload shapes
+   per promotion degree — int rows only ([max_int]), the kernel's
+   default, and bitsets from birth ([0]) — and times the three
+   workload shapes
    the kernels serve, across a density sweep at n = 10^4:
 
    - greedy-k elimination at k = maxdeg + 1 (full elimination; pure
@@ -120,17 +121,13 @@ let report_speedup rows ~what ~old_label ~new_label =
    rows on the set-op and merge workloads. *)
 
 let k3_row_modes =
-  [
-    ("sparse-rows", Rc_graph.Flat.Sparse_rows);
-    ("auto", Rc_graph.Flat.Auto);
-    ("bitset-rows", Rc_graph.Flat.Bitset_rows);
-  ]
+  [ ("sparse-rows", Some max_int); ("auto", None); ("bitset-rows", Some 0) ]
 
 (* Same seed for every mode: each kernel receives the identical stream,
    so the timed workloads run on the same graph. *)
-let k3_build rows ~n ~p =
+let k3_build promote_at ~n ~p =
   let rng = Random.State.make [| 2026; int_of_float (p *. 1_000_000.) |] in
-  let f = Rc_graph.Flat.create ~rows n in
+  let f = Rc_graph.Flat.create ?promote_at n in
   Rc_graph.Generators.gnp_stream rng ~n ~p (fun u v ->
       Rc_graph.Flat.add_new_edge f u v);
   f
@@ -157,7 +154,9 @@ let k3_bitset_density () =
   List.iter
     (fun p ->
       let kernels =
-        List.map (fun (name, rows) -> (name, k3_build rows ~n ~p)) k3_row_modes
+        List.map
+          (fun (name, promote_at) -> (name, k3_build promote_at ~n ~p))
+          k3_row_modes
       in
       let f0 = snd (List.hd kernels) in
       let maxdeg = ref 0 in

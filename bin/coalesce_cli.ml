@@ -1,7 +1,7 @@
 (* Command-line front end.
 
    coalesce generate  --seed 7 --k 6 [--dot out.dot] [--chordal]
-   coalesce solve     --seed 7 --k 6 --strategy briggs|...|exact [--rows bitset]
+   coalesce solve     --seed 7 --k 6 --strategy briggs|...|exact
                       [--dispatch direct|static]
    coalesce analyze   --seed 7 --k 6 [--chordal | --file F | --preset NAME]
                       [--level full|split] [--json FILE]
@@ -26,7 +26,7 @@ module G = Rc_graph.Graph
 module Strategies = Rc_core.Strategies
 
 (* Shared flag vocabulary ---------------------------------------------- *)
-(* Every subcommand draws its flags from here, so --seed, --k, --rows,
+(* Every subcommand draws its flags from here, so --seed, --k,
    --domains, --json and --strategy spell and behave the same way
    everywhere. *)
 module Common = struct
@@ -37,22 +37,6 @@ module Common = struct
       | Error m -> Error (`Msg m)
     in
     let print ppf s = Format.fprintf ppf "%s" (Strategies.name s) in
-    Arg.conv (parse, print)
-
-  let rows_conv =
-    let parse s =
-      match Rc_graph.Flat.rows_of_string s with
-      | Some r -> Ok r
-      | None ->
-          Error
-            (`Msg
-               (Printf.sprintf
-                  "unknown rows policy %S (auto, sparse, bitset, threshold:N)"
-                  s))
-    in
-    let print ppf r =
-      Format.pp_print_string ppf (Rc_graph.Flat.rows_to_string r)
-    in
     Arg.conv (parse, print)
 
   let check_conv =
@@ -81,15 +65,6 @@ module Common = struct
     Arg.(
       value & opt int 6
       & info [ "k"; "registers" ] ~docv:"K" ~doc:"Number of registers.")
-
-  let rows =
-    Arg.(
-      value
-      & opt (some rows_conv) None
-      & info [ "rows" ] ~docv:"POLICY"
-          ~doc:
-            "Kernel adjacency-row policy: auto, sparse, bitset or \
-             threshold:N (defaults to the kernel's auto heuristic).")
 
   let domains =
     Arg.(
@@ -256,13 +231,13 @@ let solve_cmd =
              endpoint walk, chordal ones to the Theorem-5 path, and exact \
              requests through certified presolve).")
   in
-  let run seed k strategy chordal file rows check timing dispatch =
+  let run seed k strategy chordal file check timing dispatch =
     let problem = Common.load_problem ~seed ~k ~chordal file in
     let strategies =
       match strategy with Some s -> [ s ] | None -> Strategies.all_heuristics
     in
     if dispatch = Strategies.Static_profile then Rc_analysis.Dispatch.install ();
-    let cfg = { Strategies.default_config with rows; check; seed; dispatch } in
+    let cfg = { Strategies.check; seed; dispatch } in
     if not timing then
       print_string (Rc_engine.Server.one_shot ~config:cfg ~strategies problem)
     else begin
@@ -278,7 +253,7 @@ let solve_cmd =
     (Cmd.info "solve" ~doc:"Run coalescing strategies on an instance.")
     Term.(
       const run $ Common.seed $ Common.k $ strategy_arg $ Common.chordal
-      $ Common.file $ Common.rows $ Common.check $ timing_arg $ dispatch_arg)
+      $ Common.file $ Common.check $ timing_arg $ dispatch_arg)
 
 (* analyze ------------------------------------------------------------- *)
 (* The static analyzer as a subcommand: the structural profile
@@ -427,7 +402,7 @@ let check_cmd =
     | Strategies.Exact_conservative | Strategies.Exact_backend _ ->
         [ Rc_check.Certify.Conservative ]
   in
-  let run seed k strategy chordal file rows lint =
+  let run seed k strategy chordal file lint =
     if Rc_check.Sanitize.install_if_enabled () then
       Format.printf "sanitizer: enabled (profile %s)@."
         Rc_check.Sanitize.profile;
@@ -455,7 +430,7 @@ let check_cmd =
     let strategies =
       match strategy with Some s -> [ s ] | None -> Strategies.all_heuristics
     in
-    let cfg = { Strategies.default_config with rows; seed } in
+    let cfg = { Strategies.default_config with seed } in
     let solve s =
       (* IRC may spill, leaving a solution over a reduced instance the
          original problem cannot certify — detect and skip. *)
@@ -493,7 +468,7 @@ let check_cmd =
           (Rc_check.Certify); non-zero exit on any violation.")
     Term.(
       const run $ Common.seed $ Common.k $ strategy_arg $ Common.chordal
-      $ Common.file $ Common.rows $ lint_arg)
+      $ Common.file $ lint_arg)
 
 (* sweep -------------------------------------------------------------- *)
 
@@ -512,7 +487,7 @@ let preset_arg =
   let default =
     match Rc_engine.Sweep.preset_of_string "smoke" with
     | Ok p -> p
-    | Error _ -> assert false
+    | Error m -> invalid_arg m
   in
   Arg.(
     value & opt preset_conv default
@@ -545,7 +520,7 @@ let sweep_cmd =
             "Also print per-strategy wall times (excluded from the canonical \
              report, which is domain-count independent).")
   in
-  let run seed preset domains rows check strategy strategies timing json =
+  let run seed preset domains check strategy strategies timing json =
     if Rc_check.Sanitize.install_if_enabled () then
       Format.printf "sanitizer: enabled (profile %s)@."
         Rc_check.Sanitize.profile;
@@ -558,9 +533,7 @@ let sweep_cmd =
       | None, Some s -> [ s ]
       | None, None -> Strategies.all_heuristics
     in
-    let t =
-      Rc_engine.Sweep.run ?domains ?rows ~check ~strategies ~seed preset
-    in
+    let t = Rc_engine.Sweep.run ?domains ~check ~strategies ~seed preset in
     Format.printf "%a" Rc_engine.Sweep.pp t;
     if timing then Format.printf "%a" Rc_engine.Sweep.pp_timing t;
     Option.iter
@@ -574,9 +547,8 @@ let sweep_cmd =
           report (without --timing) is byte-identical at any --domains \
           value.")
     Term.(
-      const run $ Common.seed $ preset_arg $ Common.domains $ Common.rows
-      $ Common.check $ strategy_arg $ strategies_arg $ timing_arg
-      $ Common.json)
+      const run $ Common.seed $ preset_arg $ Common.domains $ Common.check
+      $ strategy_arg $ strategies_arg $ timing_arg $ Common.json)
 
 (* reduction ---------------------------------------------------------- *)
 
@@ -782,7 +754,7 @@ let serve_cmd =
              through the profile-driven dispatcher acting on the server's \
              profile cache.  Answers are byte-identical either way.")
   in
-  let run socket listen stdio domains rows no_certify cache max_conns dispatch =
+  let run socket listen stdio domains no_certify cache max_conns dispatch =
     if Rc_check.Sanitize.install_if_enabled () then
       Format.printf "sanitizer: enabled (profile %s)@."
         Rc_check.Sanitize.profile;
@@ -790,7 +762,6 @@ let serve_cmd =
       {
         Server.default_config with
         domains = (match domains with Some d -> max 1 d | None -> 1);
-        rows;
         certify = not no_certify;
         cache_capacity = max 1 cache;
         max_conns = max 1 max_conns;
@@ -830,8 +801,7 @@ let serve_cmd =
           protocol and concurrency model).")
     Term.(
       const run $ socket_opt $ listen_arg $ stdio_arg $ Common.domains
-      $ Common.rows $ no_certify_arg $ cache_arg $ max_conns_arg
-      $ serve_dispatch_arg)
+      $ no_certify_arg $ cache_arg $ max_conns_arg $ serve_dispatch_arg)
 
 let client_cmd =
   let text_arg =

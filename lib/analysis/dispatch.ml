@@ -27,14 +27,13 @@ let incumbent cfg (part : Problem.t) =
   if Coalescing.is_conservative part sol then Some sol else None
 
 (* Which registry entry solves the exact parts: [exact:NAME] names it
-   inline, plain [exact] defers to the config's selector. *)
-let backend_name cfg strategy =
-  match strategy with
+   inline, plain [exact] means ["bb"]. *)
+let backend_name = function
   | Strategies.Exact_backend b -> b
-  | _ -> Option.value cfg.Strategies.backend ~default:"bb"
+  | _ -> "bb"
 
 let exact_with_presolve cfg strategy (p : Problem.t) =
-  let bk = Backend.find_exn (backend_name cfg strategy) in
+  let bk = Backend.find_exn (backend_name strategy) in
   let part_cfg = { cfg with Strategies.dispatch = Strategies.Direct } in
   let plan = Presolve.run ~level:Presolve.Full p in
   let sols =

@@ -10,8 +10,8 @@
     - [Exact_conservative] and [Exact_backend _] → full certified
       presolve ({!Presolve.run}), each part solved exactly by the
       requested registry backend ([exact:NAME] names it inline, plain
-      [exact] defers to [config.backend]) with a heuristic incumbent as
-      pruning oracle, after gating on the profile's degeneracy (the
+      [exact] means ["bb"]) with a heuristic incumbent as pruning
+      oracle, after gating on the profile's degeneracy (the
       k-core bound: degeneracy [>= k] means the instance is not
       greedy-k-colorable and the direct path's typed error is
       preserved), then {!Presolve.lift_certified} back onto the

@@ -196,14 +196,6 @@ let clustered ~seed ~gadgets ~size ~maxlive ?affinity_fraction ?k () =
   let k = match k with Some k -> k | None -> max 1 maxlive in
   { problem = Rc_core.Problem.make ~graph:!g ~affinities:!affs ~k; maxlive }
 
-let synthetic_flat ?rows ~seed ~n ~maxlive ?affinity_fraction () =
-  let f = Rc_graph.Flat.create ?rows n in
-  synthetic_stream ~seed ~n ~maxlive ?affinity_fraction
-    ~edge:(fun u v -> Rc_graph.Flat.add_new_edge f u v)
-    ~affinity:(fun _ _ _ -> ())
-    ();
-  f
-
 let leaderboard strategies instances =
   let score strategy =
     let reports =

@@ -107,18 +107,6 @@ val clustered :
     sizes where a monolithic exact search is refused.  [k] defaults to
     [maxlive]. *)
 
-val synthetic_flat :
-  ?rows:Rc_graph.Flat.rows ->
-  seed:int ->
-  n:int ->
-  maxlive:int ->
-  ?affinity_fraction:float ->
-  unit ->
-  Rc_graph.Flat.t
-(** Streams the same instance straight into a flat kernel via
-    {!Rc_graph.Flat.add_new_edge} (each edge arrives exactly once), the
-    bulk-load path used by bench section K3 and the scale tests. *)
-
 val leaderboard :
   Rc_core.Strategies.t list -> instance list -> (string * float * float * bool) list
 (** For each strategy: (name, average fraction of move weight coalesced,

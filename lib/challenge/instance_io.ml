@@ -225,8 +225,8 @@ let iter_view_affinities v f =
       (word v.src (at + 2))
   done
 
-let view_flat ?rows v =
-  let f = Rc_graph.Flat.create ?rows v.nv in
+let view_flat v =
+  let f = Rc_graph.Flat.create v.nv in
   let base = edge_base v in
   for e = 0 to v.ne - 1 do
     (* Strict lexicographic sortedness (validated on load) means every

@@ -132,8 +132,7 @@ val view_problem : view -> Rc_core.Problem.t
     section, validated into canonical order, becomes the normalized
     affinity list as it stands. *)
 
-val view_flat :
-  ?rows:Rc_graph.Flat.rows -> view -> Rc_graph.Flat.t * int array
+val view_flat : view -> Rc_graph.Flat.t * int array
 (** Stream the edge section straight into a flat kernel of capacity
     [nv] through {!Rc_graph.Flat.add_new_edge} (the validated
     sortedness guarantees each edge arrives once with [i < j]).

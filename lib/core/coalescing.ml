@@ -156,8 +156,8 @@ module Speculation = struct
   let notify ev s =
     match Domain.DLS.get monitor with None -> () | Some f -> f ev s
 
-  let of_state ?rows st =
-    let f = Flat.of_graph ?rows st.graph in
+  let of_state st =
+    let f = Flat.of_graph st.graph in
     {
       base = st;
       f;

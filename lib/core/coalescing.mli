@@ -66,13 +66,9 @@ module Speculation : sig
   type spec
   type mark
 
-  val of_state : ?rows:Rc_graph.Flat.rows -> state -> spec
+  val of_state : state -> spec
   (** Flat mirror of [state]'s current merged graph.  The state is
-      retained as the commit base; it is never mutated.  [?rows]
-      selects the mirror's row representation (default
-      {!Rc_graph.Flat.Auto}): the searches run identically on sparse,
-      bitset or matrix rows — the representation-differential tests
-      exploit exactly that. *)
+      retained as the commit base; it is never mutated. *)
 
   val flat : spec -> Rc_graph.Flat.t
   (** The underlying flat graph, for verdict kernels

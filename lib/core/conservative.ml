@@ -288,13 +288,13 @@ module Engine = struct
     done
 end
 
-let coalesce_state ?rows rule ~k st affinities =
-  let spec = Spec.of_state ?rows st in
+let coalesce_state rule ~k st affinities =
+  let spec = Spec.of_state st in
   Engine.run (Engine.create rule ~k spec affinities);
   Spec.commit spec
 
-let coalesce ?rows rule (p : Problem.t) =
+let coalesce rule (p : Problem.t) =
   let st =
-    coalesce_state ?rows rule ~k:p.k (Coalescing.initial p.graph) p.affinities
+    coalesce_state rule ~k:p.k (Coalescing.initial p.graph) p.affinities
   in
   Coalescing.solution_of_state p st

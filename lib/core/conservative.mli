@@ -17,8 +17,7 @@ type rule =
 
 val rule_name : rule -> string
 
-val coalesce :
-  ?rows:Rc_graph.Flat.rows -> rule -> Problem.t -> Coalescing.solution
+val coalesce : rule -> Problem.t -> Coalescing.solution
 (** Worklist conservative coalescing: affinities are processed by
     decreasing weight; an affinity is coalesced when the rule accepts it
     on the current graph; rejected affinities are retried after every
@@ -29,22 +28,17 @@ val coalesce :
     rescan per pass (the differential suites hold it to that rescan
     loop, kept as a test-only oracle).
 
-    Prefer {!Strategies.run_cfg} for new call sites: the [?rows]
-    optional argument here (and on {!coalesce_state}) is the [rows]
-    field of {!Strategies.config} there; these entry points stay as the
-    primitives the dispatcher calls. *)
+    Prefer {!Strategies.run_cfg} for new call sites; this entry point
+    stays as the primitive the dispatcher calls. *)
 
 val coalesce_state :
-  ?rows:Rc_graph.Flat.rows ->
   rule ->
   k:int ->
   Coalescing.state ->
   Problem.affinity list ->
   Coalescing.state
 (** The same worklist loop starting from an existing merge state —
-    building block for {!Optimistic} re-coalescing passes.  [?rows]
-    picks the speculation mirror's row representation (bench and
-    differential tests); the result is representation-independent. *)
+    building block for {!Optimistic} re-coalescing passes. *)
 
 val local_test :
   rule -> Rc_graph.Flat.t -> k:int -> int -> int -> bool

@@ -54,8 +54,8 @@ let pick_victim ~scoring ~affinities ~residue_degree merged_classes =
    them) and the class list is iterated in increasing representative
    order (as [Coalescing.classes] yields it), so victim scoring and
    tie-breaking agree. *)
-let decoalesce_greedy ?rows ?(scoring = Degree_per_weight) (p : Problem.t) st =
-  let f = Flat.of_graph ?rows p.graph in
+let decoalesce_greedy ?(scoring = Degree_per_weight) (p : Problem.t) st =
+  let f = Flat.of_graph p.graph in
   let in_residue = Array.make (Flat.capacity f) false in
   let splits = ref 0 in
   (* (rep, members) pairs, members ascending, list sorted by rep — the
@@ -124,13 +124,13 @@ let decoalesce_greedy ?rows ?(scoring = Degree_per_weight) (p : Problem.t) st =
      picks. *)
   if !splits = 0 then st else Coalescing.of_classes p.graph classes
 
-let coalesce ?rows ?scoring (p : Problem.t) =
+let coalesce ?scoring (p : Problem.t) =
   if not (Greedy_k.is_greedy_k_colorable p.graph p.k) then
     invalid_arg "Optimistic.coalesce: input graph is not greedy-k-colorable";
   (* Phase 1: aggressive. *)
   let st = Aggressive.coalesce_state (Coalescing.initial p.graph) p.affinities in
   (* Phase 2: de-coalesce until greedy-k-colorable. *)
-  let st = decoalesce_greedy ?rows ?scoring p st in
+  let st = decoalesce_greedy ?scoring p st in
   (* Phase 3: conservative re-coalescing of what was given up. *)
   let open_affinities =
     List.filter
@@ -138,7 +138,7 @@ let coalesce ?rows ?scoring (p : Problem.t) =
       p.affinities
   in
   let st =
-    Conservative.coalesce_state ?rows Conservative.Brute_force ~k:p.k st
+    Conservative.coalesce_state Conservative.Brute_force ~k:p.k st
       open_affinities
   in
   Coalescing.solution_of_state p st

@@ -21,22 +21,18 @@ type scoring =
   | Weight_only  (** split the cheapest class first *)
   | Degree_only  (** split the class with the highest residue degree *)
 
-val coalesce :
-  ?rows:Rc_graph.Flat.rows -> ?scoring:scoring -> Problem.t ->
-  Coalescing.solution
+val coalesce : ?scoring:scoring -> Problem.t -> Coalescing.solution
 (** Requires the input graph to be greedy-k-colorable; raises
     [Invalid_argument] otherwise (the de-coalescing loop could not
     terminate on an uncolorable base graph).  The phase-3 re-coalescing
     fixpoint runs on the {!Conservative.Engine}.
 
-    Prefer {!Strategies.run_cfg} for new call sites: [?rows] is the
-    [rows] field of {!Strategies.config} there; [?scoring] (default
-    [Degree_per_weight]) is for the de-coalescing ablation and the
-    differential tests.  This entry point stays as the primitive the
-    dispatcher calls. *)
+    Prefer {!Strategies.run_cfg} for new call sites; [?scoring]
+    (default [Degree_per_weight]) is for the de-coalescing ablation and
+    the differential tests.  This entry point stays as the primitive
+    the dispatcher calls. *)
 
 val decoalesce_greedy :
-  ?rows:Rc_graph.Flat.rows ->
   ?scoring:scoring -> Problem.t -> Coalescing.state -> Coalescing.state
 (** Phase 2 alone, exposed for tests, the Theorem 6 experiment and the
     de-coalescing ablation: splits classes of the given all-merged

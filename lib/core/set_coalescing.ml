@@ -93,9 +93,9 @@ let try_set ~k spec set =
       cache movelists of R_x ∪ {roots of x}: work proportional to the
       affinities actually rooted near the witness, not to all open
       pairs.  Sizes >= 3 keep the generic enumeration. *)
-let coalesce ?rows ?(max_set = 2) (p : Problem.t) =
+let coalesce ?(max_set = 2) (p : Problem.t) =
   if max_set < 1 then invalid_arg "Set_coalescing.coalesce: max_set < 1";
-  let spec = Spec.of_state ?rows (Coalescing.initial p.graph) in
+  let spec = Spec.of_state (Coalescing.initial p.graph) in
   let engine =
     Conservative.Engine.create Conservative.Brute_force ~k:p.k spec
       p.affinities

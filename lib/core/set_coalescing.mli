@@ -12,8 +12,7 @@
     greedy-k-colorability of the whole graph in linear time, as the
     paper suggests). *)
 
-val coalesce :
-  ?rows:Rc_graph.Flat.rows -> ?max_set:int -> Problem.t -> Coalescing.solution
+val coalesce : ?max_set:int -> Problem.t -> Coalescing.solution
 (** Runs the brute-force singleton pass to a fixpoint, then tries sets
     of 2, 3, ... up to [max_set] (default 2) open affinities by
     decreasing combined weight, restarting from singletons after each
@@ -28,10 +27,9 @@ val coalesce :
     everything (the test-only oracle the differential suite holds this
     to).
 
-    Prefer {!Strategies.run_cfg} for new call sites: [?rows] is the
-    [rows] field of {!Strategies.config} there and [max_set] the size
-    of [Set_conservative]; this entry point stays as the primitive the
-    dispatcher calls. *)
+    Prefer {!Strategies.run_cfg} for new call sites: [max_set] is the
+    size of [Set_conservative] there; this entry point stays as the
+    primitive the dispatcher calls. *)
 
 val try_set :
   k:int -> Coalescing.Speculation.spec -> Problem.affinity list -> bool

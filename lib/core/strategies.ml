@@ -80,22 +80,9 @@ type check_level = No_check | Validate_input | Assert_conservative
 
 type dispatch = Direct | Static_profile
 
-type config = {
-  rows : Rc_graph.Flat.rows option;
-  check : check_level;
-  seed : int;
-  dispatch : dispatch;
-  backend : string option;
-}
+type config = { check : check_level; seed : int; dispatch : dispatch }
 
-let default_config =
-  {
-    rows = None;
-    check = No_check;
-    seed = 0;
-    dispatch = Direct;
-    backend = None;
-  }
+let default_config = { check = No_check; seed = 0; dispatch = Direct }
 
 (* ------------------------------------------------------------------ *)
 (* The solver-backend registry.  It replaces the old
@@ -183,9 +170,9 @@ let () =
           Portfolio.conservative_race ?stop ?prime p);
     }
 
-let run_chordal_incremental ?rows (p : Problem.t) =
+let run_chordal_incremental (p : Problem.t) =
   if not (Rc_graph.Chordal.is_chordal p.graph) then
-    Conservative.coalesce ?rows Conservative.Brute_force p
+    Conservative.coalesce Conservative.Brute_force p
   else begin
     let by_weight =
       List.sort
@@ -239,7 +226,6 @@ let run_cfg cfg strategy (p : Problem.t) =
   (match cfg.check with
   | No_check -> ()
   | Validate_input | Assert_conservative -> validate_input p);
-  let rows = cfg.rows in
   let sol =
     match cfg.dispatch with
     | Static_profile -> (
@@ -256,16 +242,15 @@ let run_cfg cfg strategy (p : Problem.t) =
     | Direct -> (
         match strategy with
         | Aggressive -> Aggressive.coalesce p
-        | Conservative r -> Conservative.coalesce ?rows r p
+        | Conservative r -> Conservative.coalesce r p
         | Irc r -> (Irc.allocate ~rule:r p).solution
-        | Optimistic -> Optimistic.coalesce ?rows p
-        | Chordal_incremental -> run_chordal_incremental ?rows p
+        | Optimistic -> Optimistic.coalesce p
+        | Chordal_incremental -> run_chordal_incremental p
         | Set_conservative n ->
             (* [Invalid_argument] for n < 1, which [of_string] never
                yields. *)
-            Set_coalescing.coalesce ?rows ~max_set:n p
-        | Exact_conservative ->
-            run_backend cfg strategy (Option.value cfg.backend ~default:"bb") p
+            Set_coalescing.coalesce ~max_set:n p
+        | Exact_conservative -> run_backend cfg strategy "bb" p
         | Exact_backend b -> run_backend cfg strategy b p)
   in
   (match cfg.check with

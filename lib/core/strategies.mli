@@ -3,11 +3,11 @@
     and the domain-parallel sweep engine ({!Rc_engine.Sweep}).
 
     {!run_cfg} is the single solver entry point: one {!config} record
-    carries the row policy, checking level, seed, dispatch mode and
-    exact backend of a run.  The per-search entry points
-    ([Conservative.coalesce ?rows], [Optimistic.coalesce ?rows],
-    [Set_coalescing.coalesce ?rows ~max_set]) remain as the primitives
-    this dispatcher calls — prefer {!run_cfg} in new code. *)
+    carries the checking level, seed and dispatch mode of a run.  The
+    per-search entry points ([Conservative.coalesce],
+    [Optimistic.coalesce], [Set_coalescing.coalesce ~max_set]) remain
+    as the primitives this dispatcher calls — prefer {!run_cfg} in new
+    code. *)
 
 type t =
   | Aggressive  (** greedy aggressive (colorability ignored) *)
@@ -25,9 +25,9 @@ type t =
           transitivity" remedy of Section 4 (see {!Set_coalescing}).
           {!run_cfg} raises [Invalid_argument] on a size [< 1]. *)
   | Exact_conservative
-      (** exact optimum through the configured backend
-          ({!config.backend}, default ["bb"], the branch-and-bound —
-          small instances) *)
+      (** exact optimum through the ["bb"] backend, the
+          branch-and-bound (small instances): solved as
+          [Exact_backend "bb"] is, under its own name *)
   | Exact_backend of string
       (** exact optimum through the named {!Backend} registry entry —
           [Exact_backend "pb"] spells [exact:pb], [Exact_backend "race"]
@@ -75,9 +75,6 @@ type dispatch =
           raises [Invalid_argument] otherwise. *)
 
 type config = {
-  rows : Rc_graph.Flat.rows option;
-      (** row representation for every flat kernel the run builds
-          ([None] = the kernel's adaptive default) *)
   check : check_level;
   seed : int;
       (** provenance: the seed stream that produced this task's
@@ -86,15 +83,10 @@ type config = {
           randomized strategy must draw from it and nothing else, or
           domain-parallel runs stop being reproducible. *)
   dispatch : dispatch;
-  backend : string option;
-      (** which {!Backend} registry entry solves {!Exact_conservative}
-          ([None] = ["bb"]).  [Exact_backend] strategies name their
-          backend inline and ignore this field. *)
 }
 
 val default_config : config
-(** [{ rows = None; check = No_check; seed = 0; dispatch = Direct;
-      backend = None }] *)
+(** [{ check = No_check; seed = 0; dispatch = Direct }] *)
 
 (** {1 The solver-backend registry}
 

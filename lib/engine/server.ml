@@ -271,7 +271,6 @@ end
 
 type config = {
   domains : int;
-  rows : Rc_graph.Flat.rows option;
   certify : bool;
   cache_capacity : int;
   max_payload : int;
@@ -282,7 +281,6 @@ type config = {
 let default_config =
   {
     domains = 1;
-    rows = None;
     certify = true;
     cache_capacity = 4096;
     max_payload = Wire.max_payload_default;
@@ -452,10 +450,6 @@ let stats_text t =
 (* Request decoding and solving                                        *)
 (* ------------------------------------------------------------------ *)
 
-let rows_token = function
-  | None -> "auto-default"
-  | Some r -> Rc_graph.Flat.rows_to_string r
-
 (* Routed and direct answers are byte-identical (the invariant the
    differential suites pin), but the token keeps the cache honest if a
    future route ever changes what it streams. *)
@@ -464,8 +458,7 @@ let dispatch_token = function
   | Strategies.Static_profile -> "static"
 
 let cache_key t ~hash ~stoken =
-  String.concat "|"
-    [ hash; stoken; rows_token t.config.rows; dispatch_token t.config.dispatch ]
+  String.concat "|" [ hash; stoken; dispatch_token t.config.dispatch ]
 
 (* The instance a fresh solve needs: the validated view of RCBI bytes
    copied out of the read buffer (decoded inside the solve task), or
@@ -556,11 +549,7 @@ let solve_and_render t ((k : keyed), instance) :
           p
     in
     let config =
-      {
-        Strategies.default_config with
-        rows = t.config.rows;
-        dispatch = t.config.dispatch;
-      }
+      { Strategies.default_config with dispatch = t.config.dispatch }
     in
     (* Every fresh solve needs the instance's structural profile — for
        the profile cache, and (under [Static_profile]) as the router's
@@ -605,7 +594,7 @@ let solve_and_render t ((k : keyed), instance) :
     Error (Protocol.Bad_instance ("solver failure: " ^ Printexc.to_string e))
 
 (* A cached [all]-strategies answer subsumes any single-strategy
-   request over the same instance and rows: the stored text is the
+   request over the same instance: the stored text is the
    stats line plus one canonical report line per strategy, so the
    single strategy's answer is the stats line plus its line, found by
    the %-28s-padded name prefix.  (Exact is not in [all_heuristics],

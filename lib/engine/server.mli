@@ -81,16 +81,17 @@
     {1 Caching and certification}
 
     Answers are cached under a canonical key — the hash of the
-    instance's canonical RCBI encoding plus the strategy, row-policy
-    and dispatch tokens — so resubmitting a graph is near-free: the
-    reply is the stored bytes with the cache flag set.  A binary
-    request is keyed on its own payload bytes, validated and hashed in
-    place ({!Rc_challenge.Instance_io.key_binary}): RCBI is canonical,
-    so those bytes are the encoding, and a hit builds no problem at all
-    (the [instances_decoded] STATS counter equals [cache_misses] on
-    all-binary traffic).  A text request is parsed and keyed on
-    {!Rc_challenge.Instance_io.canonical_hash} of the result, the same
-    value, so text and binary submissions of one instance share a key.
+    instance's canonical RCBI encoding plus the strategy and dispatch
+    tokens ([hash|strategy|dispatch]) — so resubmitting a graph is
+    near-free: the reply is the stored bytes with the cache flag set.
+    A binary request is keyed on its own payload bytes, validated and
+    hashed in place ({!Rc_challenge.Instance_io.key_binary}): RCBI is
+    canonical, so those bytes are the encoding, and a hit builds no
+    problem at all (the [instances_decoded] STATS counter equals
+    [cache_misses] on all-binary traffic).  A text request is parsed
+    and keyed on {!Rc_challenge.Instance_io.canonical_hash} of the
+    result, the same value, so text and binary submissions of one
+    instance share a key.
     Repeats {e within} one batch are detected too (the duplicate
     aliases the first occurrence's slot and reports a cache hit).
     When certification is on (the default), every answer whose
@@ -158,7 +159,6 @@ type t
 
 type config = {
   domains : int;  (** pool size, caller's domain included *)
-  rows : Rc_graph.Flat.rows option;  (** kernel row policy for every solve *)
   certify : bool;  (** certify claimed-conservative answers (default on) *)
   cache_capacity : int;
       (** answer-cache entry cap: inserting past it evicts the
@@ -187,7 +187,7 @@ type config = {
 }
 
 val default_config : config
-(** 1 domain, adaptive rows, certification on, 4096 cache entries,
+(** 1 domain, certification on, 4096 cache entries,
     {!Wire.max_payload_default}, 32 connections, direct dispatch. *)
 
 val create : ?config:config -> unit -> t

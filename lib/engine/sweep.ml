@@ -193,7 +193,7 @@ let leaderboard_of_cells strategies (cells : cell array) =
     (fun a b -> compare (-.a.score, a.rstrategy) (-.b.score, b.rstrategy))
     rows
 
-let run ?pool ?domains ?(strategies = Strategies.all_heuristics) ?rows
+let run ?pool ?domains ?(strategies = Strategies.all_heuristics)
     ?(check = Strategies.No_check) ~seed preset =
   let t0 = Rc_core.Mclock.now_ns () in
   let root = Seed.of_int seed in
@@ -225,9 +225,7 @@ let run ?pool ?domains ?(strategies = Strategies.all_heuristics) ?rows
     let outcome =
       if n > ceiling then Capped { ceiling }
       else
-        let cfg =
-          { Strategies.default_config with rows; check; seed = seed_i }
-        in
+        let cfg = { Strategies.default_config with check; seed = seed_i } in
         match Strategies.evaluate_cfg cfg strategy p with
         | r -> Report r
         | exception Invalid_argument m -> Failed m

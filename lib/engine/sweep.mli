@@ -109,7 +109,6 @@ val run :
   ?pool:Pool.t ->
   ?domains:int ->
   ?strategies:Rc_core.Strategies.t list ->
-  ?rows:Rc_graph.Flat.rows ->
   ?check:Rc_core.Strategies.check_level ->
   seed:int ->
   preset ->
@@ -117,15 +116,14 @@ val run :
 (** Runs the sweep.  [pool] reuses an existing pool (its domain count
     wins); otherwise a fresh pool of [domains] (default
     {!Pool.recommended_domains}) is created for the call.  [strategies]
-    defaults to {!Rc_core.Strategies.all_heuristics}; [rows] and
-    [check] are threaded into every cell's
-    {!Rc_core.Strategies.config}. *)
+    defaults to {!Rc_core.Strategies.all_heuristics}; [check] is
+    threaded into every cell's {!Rc_core.Strategies.config}. *)
 
 val canonical : t -> string
 (** The deterministic report: per-instance structural profiles, per-cell
     quality columns (instance class included) and the leaderboard, no
     timings.  Byte-identical at any [domains] for a fixed (preset, seed,
-    strategies, rows, check). *)
+    strategies, check). *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints {!canonical}. *)

@@ -26,29 +26,6 @@
      removed, vertex killed) newest-last; rollback replays inverses
      newest-first.  Logging is active iff [ncheck > 0]. *)
 
-type rows = Auto | Sparse_rows | Bitset_rows | Threshold of int
-
-(* Shared textual form of the rows policy, so every CLI surface parses
-   the same vocabulary. *)
-let rows_to_string = function
-  | Auto -> "auto"
-  | Sparse_rows -> "sparse"
-  | Bitset_rows -> "bitset"
-  | Threshold n -> Printf.sprintf "threshold:%d" n
-
-let rows_of_string s =
-  match String.lowercase_ascii s with
-  | "auto" -> Some Auto
-  | "sparse" -> Some Sparse_rows
-  | "bitset" -> Some Bitset_rows
-  | s -> (
-      match String.index_opt s ':' with
-      | Some i when String.sub s 0 i = "threshold" -> (
-          match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-          | Some n when n >= 0 -> Some (Threshold n)
-          | _ -> None)
-      | _ -> None)
-
 type op =
   | Op_add of int * int (* edge (u, v) was added *)
   | Op_remove of int * int (* edge (u, v) was removed *)
@@ -200,58 +177,6 @@ let iter_neighbors t v f =
     let a = t.adj.(v) and n = t.len.(v) in
     for i = 0 to n - 1 do
       f (Array.unsafe_get a i)
-    done
-  end
-
-(* Degree-bucketed hybrid walk over one row.  A bitset row whose
-   population is far below its word count (the K3 regime where bitset
-   rows lose pure iteration to int rows: forced-bitset or huge-capacity
-   kernels with bounded degree) is consumed through the summary — only
-   non-empty words are touched, one summary read per 32 words skipped.
-   A well-populated row keeps the plain word scan: the summary
-   indirection would only add overhead when nearly every word is
-   occupied. *)
-let iter_row_hybrid t v f =
-  let d = Array.unsafe_get t.dense v in
-  let nw = Array.length d in
-  if nw = 0 then begin
-    let a = t.adj.(v) and n = t.len.(v) in
-    for i = 0 to n - 1 do
-      f (Array.unsafe_get a i)
-    done
-  end
-  else if t.len.(v) * 4 >= nw then
-    (* High bucket: population >= nw/4 — plain scan. *)
-    for i = 0 to nw - 1 do
-      let w = ref (Array.unsafe_get d i) in
-      if !w <> 0 then begin
-        let base = i lsl 5 in
-        while !w <> 0 do
-          let b = !w land - !w in
-          f (base + bit_index b);
-          w := !w lxor b
-        done
-      end
-    done
-  else begin
-    let s = Array.unsafe_get t.summary v in
-    for si = 0 to Array.length s - 1 do
-      let sw = ref (Array.unsafe_get s si) in
-      if !sw <> 0 then begin
-        let sbase = si lsl 5 in
-        while !sw <> 0 do
-          let sb = !sw land - !sw in
-          let i = sbase + bit_index sb in
-          sw := !sw lxor sb;
-          let w = ref (Array.unsafe_get d i) in
-          let base = i lsl 5 in
-          while !w <> 0 do
-            let b = !w land - !w in
-            f (base + bit_index b);
-            w := !w lxor b
-          done
-        done
-      end
     done
   end
 
@@ -665,18 +590,16 @@ let merge t u v =
 (* Construction and bridges                                            *)
 (* ------------------------------------------------------------------ *)
 
-let make_raw ~rows ~cap ~labels ~row_caps =
+let make_raw ~promote_at ~cap ~labels ~row_caps =
   let words = (cap + 31) lsr 5 in
   let threshold =
-    match rows with
-    | Auto ->
+    match promote_at with
+    | None ->
         (* Memory parity: a dense row costs [words] ints, a sparse row
            one int per neighbor — promote where the two meet. *)
         max 4 words
-    | Sparse_rows -> max_int
-    | Bitset_rows -> 0
-    | Threshold n ->
-        if n < 0 then invalid_arg "Flat: negative promotion threshold";
+    | Some n ->
+        if n < 0 then invalid_arg "Flat: negative promotion degree";
         n
   in
   let dense = Array.make cap [||] in
@@ -717,12 +640,12 @@ let make_raw ~rows ~cap ~labels ~row_caps =
   Array.iteri (fun i l -> Hashtbl.replace t.index_tbl l i) labels;
   t
 
-let create ?(rows = Auto) n =
+let create ?promote_at n =
   if n < 0 then invalid_arg "Flat.create: negative size";
-  make_raw ~rows ~cap:n ~labels:(Array.init n Fun.id)
+  make_raw ~promote_at ~cap:n ~labels:(Array.init n Fun.id)
     ~row_caps:(Array.make n 0)
 
-let of_graph ?(rows = Auto) g =
+let of_graph ?promote_at g =
   let labels = Array.of_list (Graph.vertices g) in
   let cap = Array.length labels in
   (* Label -> index translation for the two edge passes below: labels
@@ -733,8 +656,11 @@ let of_graph ?(rows = Auto) g =
     if cap = 0 then fun _ -> 0
     else
       let lo = labels.(0) and hi = labels.(cap - 1) in
-      if hi - lo < (8 * cap) + 64 then begin
-        let map = Array.make (hi - lo + 1) 0 in
+      (* [span] wraps negative when the labels span more than
+         [max_int]; such a range is hashed. *)
+      let span = hi - lo in
+      if span >= 0 && span < (8 * cap) + 64 then begin
+        let map = Array.make (span + 1) 0 in
         Array.iteri (fun i v -> map.(v - lo) <- i) labels;
         fun v -> Array.unsafe_get map (v - lo)
       end
@@ -751,7 +677,7 @@ let of_graph ?(rows = Auto) g =
   Array.iteri
     (fun i u -> row_caps.(i) <- Graph.ISet.cardinal (Graph.neighbors g u))
     labels;
-  let t = make_raw ~rows ~cap ~labels ~row_caps in
+  let t = make_raw ~promote_at ~cap ~labels ~row_caps in
   (* Single adjacency traversal: each directed visit (u, v) fills u's
      row — the symmetric visit handles the mirror image. *)
   Array.iteri

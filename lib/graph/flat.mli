@@ -10,8 +10,8 @@
       plain int arrays (cache-friendly iteration), dense rows are
       bitsets of 32-bit words (O(1) membership, word-parallel set
       operations, popcount degrees).  A sparse row is promoted in
-      place once its degree reaches a density threshold — by default
-      the point where both forms cost the same memory;
+      place once its degree reaches the promotion degree (see
+      {!create}), the point where both forms cost the same memory;
     - cached degrees ({!degree} is an array read),
     - reusable scratch buffers for client algorithms, and
     - an {e undo log} ({!checkpoint} / {!rollback}) so merge-heavy
@@ -23,7 +23,7 @@
     translate between the two worlds, and {!to_graph} converts back.
     All operations below speak {e indices}, not original vertex ids.
 
-    Memory is O(capacity + edges) words; the adaptive default scales to
+    Memory is O(capacity + edges) words; the adaptive rows scale to
     10^5-vertex challenge instances.
 
     Mutability discipline: a [Flat.t] is single-owner mutable state.
@@ -35,39 +35,30 @@ type checkpoint
 (** A point in the undo log.  Checkpoints must be consumed in LIFO
     order (most recent first), either by {!rollback} or {!release}. *)
 
-(** Row representation policy, fixed at construction:
-    - [Auto] (the default): per-row adaptive.  A row is promoted to a
-      bitset when its degree reaches [max 4 ((capacity + 31) / 32)] —
-      the memory-parity point where a bitset row costs no more than
-      the int row it replaces.
-    - [Sparse_rows]: int rows only; membership scans the shorter row.
-    - [Bitset_rows]: every row a bitset from birth.
-    - [Threshold n]: adaptive with an explicit promotion degree [n].
-
-    Promotion preserves the edge set, so it commutes with the undo log:
-    rolling back past a promotion simply leaves the row dense with
-    fewer bits.  Rows are never demoted. *)
-type rows = Auto | Sparse_rows | Bitset_rows | Threshold of int
-
-val rows_of_string : string -> rows option
-(** Shared textual form of the policy, used by every CLI surface:
-    ["auto" | "sparse" | "bitset" | "threshold:<n>"]
-    (case-insensitive).  [None] on anything else. *)
-
-val rows_to_string : rows -> string
-(** Inverse of {!rows_of_string}. *)
-
 (** {1 Construction and bridges} *)
 
-val create : ?rows:rows -> int -> t
+val create : ?promote_at:int -> int -> t
 (** [create n] is the edgeless graph on live indices [0 .. n-1], with
-    [label t i = i]. *)
+    [label t i = i].
 
-val of_graph : ?rows:rows -> Graph.t -> t
+    A sparse row is promoted to a bitset once its degree reaches
+    [promote_at], which defaults to [max 4 ((n + 31) / 32)]: the
+    memory-parity point where a bitset row costs no more than the int
+    row it replaces.  Every shipped caller takes the default; kernel
+    tests and benchmarks force one form with [~promote_at:0] (every
+    row a bitset from birth) or [~promote_at:max_int] (int rows only;
+    membership scans the shorter row).  Promotion preserves the edge
+    set, so it commutes with the undo log: rolling back past a
+    promotion simply leaves the row dense with fewer bits.  Rows are
+    never demoted.  Raises [Invalid_argument] on a negative
+    [promote_at]. *)
+
+val of_graph : ?promote_at:int -> Graph.t -> t
 (** Dense snapshot of a persistent graph.  Index [i] corresponds to the
     [i]-th smallest vertex of the source.  A degree pre-pass sizes
     every sparse row exactly and allocates rows past the promotion
-    threshold as bitsets directly. *)
+    degree (as in {!create}, over the source's vertex count) as
+    bitsets directly. *)
 
 val to_graph : t -> Graph.t
 (** Persistent snapshot of the live part, with original labels, built
@@ -95,8 +86,9 @@ val num_live : t -> int
 val num_edges : t -> int
 
 val mem_edge : t -> int -> int -> bool
-(** O(1) when either endpoint's row is a bitset; otherwise a scan of the shorter row, whose length is bounded by the
-    promotion threshold. *)
+(** O(1) when either endpoint's row is a bitset; otherwise a scan of
+    the shorter row, whose length is bounded by the promotion
+    degree. *)
 
 val degree : t -> int -> int
 (** O(1).  0 for dead vertices. *)
@@ -106,14 +98,6 @@ val iter_neighbors : t -> int -> (int -> unit) -> unit
     (bitset rows iterate in increasing index order, sparse rows in
     insertion order).  The graph must not be mutated during
     iteration. *)
-
-val iter_row_hybrid : t -> int -> (int -> unit) -> unit
-(** Degree-bucketed variant of {!iter_neighbors}: a bitset row whose
-    population is below a quarter of its word count is walked through
-    its occupancy summary (only non-empty words are touched), closing
-    the gap where sparse-populated bitset rows lose pure iteration to
-    int rows; well-populated rows and sparse rows iterate exactly as
-    {!iter_neighbors}.  Same order and mutation caveats. *)
 
 val fold_neighbors : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
 

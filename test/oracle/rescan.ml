@@ -61,41 +61,41 @@ let fixpoint rule ~k spec affinities =
   in
   pass by_weight
 
-let conservative_state ?rows rule ~k st affinities =
-  let spec = Spec.of_state ?rows st in
+let conservative_state rule ~k st affinities =
+  let spec = Spec.of_state st in
   fixpoint rule ~k spec affinities;
   Spec.commit spec
 
-let conservative ?rows rule (p : Problem.t) =
+let conservative rule (p : Problem.t) =
   Coalescing.solution_of_state p
-    (conservative_state ?rows rule ~k:p.k
+    (conservative_state rule ~k:p.k
        (Coalescing.initial p.graph)
        p.affinities)
 
 (* Optimistic coalescing with its phase-3 re-coalescing on the rescan
    fixpoint; phases 1 and 2 are the library's. *)
-let optimistic ?rows (p : Problem.t) =
+let optimistic (p : Problem.t) =
   if not (Greedy_k.is_greedy_k_colorable p.graph p.k) then
     invalid_arg "Rescan.optimistic: input graph is not greedy-k-colorable";
   let st =
     Rc_core.Aggressive.coalesce_state (Coalescing.initial p.graph)
       p.affinities
   in
-  let st = Rc_core.Optimistic.decoalesce_greedy ?rows p st in
+  let st = Rc_core.Optimistic.decoalesce_greedy p st in
   let open_affinities =
     List.filter
       (fun (a : Problem.affinity) -> not (Coalescing.same_class st a.u a.v))
       p.affinities
   in
   Coalescing.solution_of_state p
-    (conservative_state ?rows Conservative.Brute_force ~k:p.k st
+    (conservative_state Conservative.Brute_force ~k:p.k st
        open_affinities)
 
 (* The set search: singleton fixpoints via the rescan loop, candidate
    sets by full enumeration, restarting from singletons after each
    successful set. *)
-let set ?rows ~max_set (p : Problem.t) =
-  let spec = Spec.of_state ?rows (Coalescing.initial p.graph) in
+let set ~max_set (p : Problem.t) =
+  let spec = Spec.of_state (Coalescing.initial p.graph) in
   let open_affinities () =
     List.filter
       (fun (a : Problem.affinity) -> not (Spec.same_class spec a.u a.v))

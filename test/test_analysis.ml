@@ -4,7 +4,7 @@
 
    The presolve differential is the satellite contract: 200 seeds,
    solve(original) vs lift(solve(presolve(original))), certified and
-   cost-identical, across row policies and at 1 and 4 domains.
+   cost-identical, at 1 and 4 domains.
    Split-only presolve is trajectory-preserving for the local-rule
    strategies (component split keeps every neighborhood intact;
    articulation split only cuts at affinity-free vertices of degree
@@ -277,29 +277,22 @@ let split_safe_strategies =
     Strategies.Set_conservative 2;
   ]
 
-let rows_policies =
-  [|
-    None; Some (Flat.Threshold 2); Some Flat.Sparse_rows; Some Flat.Bitset_rows;
-  |]
-
 let check_split_differential seed =
   let p = diff_problem seed in
-  let rows = rows_policies.(seed mod Array.length rows_policies) in
-  let cfg = { Strategies.default_config with rows } in
   let plan = Presolve.run ~level:Presolve.Split_only p in
   let s = Presolve.stats plan in
   if s.Presolve.residual_vertices <> s.Presolve.original_vertices then
     Alcotest.failf "seed %d: split-only presolve dropped vertices" seed;
   List.iter
     (fun strategy ->
-      let direct = Strategies.run_cfg cfg strategy p in
+      let direct = Strategies.run strategy p in
       let lifted =
         match
           Presolve.lift_certified
             ~conservative:(claims_conservative strategy)
             plan
             (List.map
-               (fun part -> Strategies.run_cfg cfg strategy part)
+               (fun part -> Strategies.run strategy part)
                plan.Presolve.parts)
         with
         | Ok sol -> sol

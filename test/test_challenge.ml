@@ -148,22 +148,23 @@ let test_synthetic_invariants () =
 
 (* The flat streaming path (add_new_edge bulk load, no membership
    probes) must build the same graph as the persistent path, under
-   every row representation. *)
+   every row form: the kernel's default promotion degree, int rows only
+   and bitset rows only. *)
 let test_synthetic_flat_agrees () =
   let n = 2000 and maxlive = 7 in
   let inst = Challenge.synthetic ~seed:42 ~n ~maxlive () in
   List.iter
-    (fun (name, rows) ->
-      let f = Challenge.synthetic_flat ~rows ~seed:42 ~n ~maxlive () in
+    (fun (name, promote_at) ->
+      let f = Flat.create ?promote_at n in
+      Challenge.synthetic_stream ~seed:42 ~n ~maxlive
+        ~edge:(fun u v -> Flat.add_new_edge f u v)
+        ~affinity:(fun _ _ _ -> ())
+        ();
       check
         (Printf.sprintf "flat stream (%s) = persistent stream" name)
         true
         (G.equal (Flat.to_graph f) inst.problem.graph))
-    [
-      ("auto", Flat.Auto);
-      ("sparse-rows", Flat.Sparse_rows);
-      ("bitset-rows", Flat.Bitset_rows);
-    ]
+    [ ("auto", None); ("sparse-rows", Some max_int); ("bitset-rows", Some 0) ]
 
 (* Batagelj–Brandes streaming G(n,p): every emitted edge well-formed
    and duplicate-free, with the edge count near its expectation — the

@@ -25,17 +25,17 @@ let () =
   if Sanitize.install_if_enabled () then
     print_endline "test_flat_bitset: kernel sanitizer enabled"
 
-(* Every row policy under test.  [Sparse_rows] (plain int rows, no
-   promotion) is the baseline the other modes are differenced against;
-   [Threshold 2] forces promotions to happen mid-script on almost every
-   row, exercising the sparse->dense transition inside speculation
-   scopes. *)
+(* Every row form under test, as a promotion degree ([None] = the
+   kernel's default).  Int rows only ([max_int], no promotion) are the
+   baseline the other forms are differenced against; promoting at 2
+   makes promotions happen mid-script on almost every row, exercising
+   the sparse->dense transition inside speculation scopes. *)
 let reprs =
   [
-    ("sparse-rows", Flat.Sparse_rows);
-    ("auto", Flat.Auto);
-    ("bitset-rows", Flat.Bitset_rows);
-    ("threshold-2", Flat.Threshold 2);
+    ("sparse-rows", Some max_int);
+    ("auto", None);
+    ("bitset-rows", Some 0);
+    ("promote-at-2", Some 2);
   ]
 
 let cls_of seed =
@@ -92,7 +92,9 @@ let replay_script seed =
   let density = 0.15 +. Random.State.float rng 0.5 in
   let base = Qcheck_gen.graph_of_cls rng (cls_of seed) ~n ~density in
   let ks =
-    List.map (fun (name, rows) -> (name, Flat.of_graph ~rows base, ref [])) reprs
+    List.map
+      (fun (name, promote_at) -> (name, Flat.of_graph ?promote_at base, ref []))
+      reprs
   in
   let _, k0, _ = List.hd ks in
   let cap = Flat.capacity k0 in
@@ -208,8 +210,8 @@ let test_word_ops () =
       let density = 0.1 +. Random.State.float rng 0.6 in
       let base = Qcheck_gen.graph_of_cls rng (cls_of seed) ~n ~density in
       List.iter
-        (fun (name, rows) ->
-          let f = Flat.of_graph ~rows base in
+        (fun (name, promote_at) ->
+          let f = Flat.of_graph ?promote_at base in
           let cap = Flat.capacity f in
           for _ = 1 to 20 do
             let u = Random.State.int rng cap
@@ -237,7 +239,8 @@ let test_word_ops () =
 (* ------------------------------------------------------------------ *)
 
 let test_promotion () =
-  (* cap = 16: one word per row, so the Auto threshold is max 4 1 = 4. *)
+  (* cap = 16: one word per row, so the default promotion degree is
+     max 4 1 = 4. *)
   let f = Flat.create 16 in
   check "fresh row sparse" true (not (Flat.row_is_dense f 0));
   check_int "no dense rows yet" 0 (Flat.dense_rows f);
@@ -268,11 +271,11 @@ let test_promotion () =
   Flat.add_edge g 0 5;
   check "dense row still functional after rollback" true (Flat.mem_edge g 0 5);
   Flat.check_invariants g;
-  (* Explicit modes at the two extremes. *)
-  let b = Flat.create ~rows:Flat.Bitset_rows 8 in
+  (* Explicit promotion degrees at the two extremes. *)
+  let b = Flat.create ~promote_at:0 8 in
   check "bitset-rows born dense" true (Flat.row_is_dense b 0);
   check_int "every row dense" 8 (Flat.dense_rows b);
-  let s = Flat.create ~rows:Flat.Sparse_rows 8 in
+  let s = Flat.create ~promote_at:max_int 8 in
   for v = 1 to 7 do
     Flat.add_edge s 0 v
   done;
@@ -282,22 +285,30 @@ let test_promotion () =
   (* of_graph pre-sizes: a clique past the threshold is born dense. *)
   let q = Flat.of_graph (G.clique 6) in
   check "of_graph promotes eagerly" true (Flat.row_is_dense q 0);
-  Flat.check_invariants q
+  Flat.check_invariants q;
+  match Flat.create ~promote_at:(-1) 8 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a negative promotion degree was accepted"
 
-(* The one textual spelling of the row policies, shared by every CLI
-   flag: each policy round-trips, input is case-insensitive, and the
-   retired [matrix] layout and malformed thresholds are refused. *)
-let test_rows_vocabulary () =
+(* Labels spanning more than [max_int]: [hi - lo] wraps negative, so
+   the label index must fall back to hashing instead of sizing a
+   direct map from the wrapped span. *)
+let test_wide_labels () =
+  let lo = min_int and hi = max_int in
+  let g = G.of_edges [ (lo, 0); (0, hi) ] in
+  let f = Flat.of_graph g in
+  Flat.check_invariants f;
+  check "round trip through to_graph" true (G.equal g (Flat.to_graph f));
+  check_int "index of the largest label" 2 (Flat.index f hi);
+  let p = Rc_core.Problem.make ~graph:g ~affinities:[ ((lo, hi), 3) ] ~k:2 in
   List.iter
-    (fun rows ->
-      let s = Flat.rows_to_string rows in
-      check (s ^ " round-trips") true (Flat.rows_of_string s = Some rows);
-      check (s ^ " uppercase") true
-        (Flat.rows_of_string (String.uppercase_ascii s) = Some rows))
-    Flat.[ Auto; Sparse_rows; Bitset_rows; Threshold 0; Threshold 17 ];
-  List.iter
-    (fun s -> check (s ^ " refused") true (Flat.rows_of_string s = None))
-    [ "matrix"; "MATRIX"; "threshold:"; "threshold:-1"; "threshold:x"; "" ]
+    (fun s ->
+      let sol = Rc_core.Strategies.run s p in
+      check_int
+        (Rc_core.Strategies.name s ^ " coalesces the affinity")
+        3
+        (Rc_core.Coalescing.coalesced_weight sol))
+    Rc_core.Strategies.all_heuristics
 
 (* ------------------------------------------------------------------ *)
 (* Nested checkpoint stress                                            *)
@@ -306,10 +317,10 @@ let test_rows_vocabulary () =
 (* Thirty-deep nesting with mutations at every level, then a full
    unwind: the kernel must land exactly back on the pristine graph with
    a drained log, in every row mode. *)
-let nested_stress rows seed =
+let nested_stress promote_at seed =
   let rng = Random.State.make [| seed; 0xD0E5 |] in
   let base = Qcheck_gen.graph_of_cls rng Qcheck_gen.Gnp ~n:24 ~density:0.3 in
-  let f = Flat.of_graph ~rows base in
+  let f = Flat.of_graph ?promote_at base in
   let pristine = Flat.to_graph f in
   let cap = Flat.capacity f in
   let rec dive d =
@@ -338,7 +349,7 @@ let nested_stress rows seed =
 
 let test_nested_stress () =
   Qcheck_gen.run_seeds ~name:"flat_nested_stress" ~count:40 (fun seed ->
-      List.iter (fun (_, rows) -> nested_stress rows seed) reprs)
+      List.iter (fun (_, promote_at) -> nested_stress promote_at seed) reprs)
 
 (* ------------------------------------------------------------------ *)
 (* Checking layers over the bitset path                                *)
@@ -350,7 +361,7 @@ let expect_failure name f =
   | _ -> Alcotest.failf "%s: corruption not caught" name
 
 let test_fault_bitset () =
-  let mk () = Flat.of_graph ~rows:Flat.Bitset_rows (G.clique 6) in
+  let mk () = Flat.of_graph ~promote_at:0 (G.clique 6) in
   (* Burst corruption: a whole flipped word drifts the popcount away
      from the cached degree and plants phantom past-capacity bits. *)
   let f = mk () in
@@ -370,7 +381,7 @@ let test_fault_bitset () =
   Flat.Fault.drop_adjacency f 0 1;
   expect_failure "dense drop_adjacency" (fun () -> Flat.check_invariants f);
   (* Misuse guard: word smashing is only defined on dense rows. *)
-  let s = Flat.of_graph ~rows:Flat.Sparse_rows (G.clique 3) in
+  let s = Flat.of_graph ~promote_at:max_int (G.clique 3) in
   match Flat.Fault.smash_row_word s 0 0 with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "smash_row_word accepted a sparse row"
@@ -388,7 +399,7 @@ let test_sanitizer_dense_audit () =
   with_sanitizer (fun () ->
       let before_dense = Sanitize.dense_rows_audited () in
       let before_sparse = Sanitize.sparse_rows_audited () in
-      let f = Flat.of_graph ~rows:Flat.Bitset_rows (G.clique 12) in
+      let f = Flat.of_graph ~promote_at:0 (G.clique 12) in
       for _ = 1 to 40 do
         let c = Flat.checkpoint f in
         Flat.remove_edge f 0 1;
@@ -397,7 +408,7 @@ let test_sanitizer_dense_audit () =
       done;
       check "dense rows audited" true
         (Sanitize.dense_rows_audited () > before_dense);
-      let s = Flat.of_graph ~rows:Flat.Sparse_rows (G.path 12) in
+      let s = Flat.of_graph ~promote_at:max_int (G.path 12) in
       for _ = 1 to 40 do
         let c = Flat.checkpoint s in
         Flat.add_edge s 0 5;
@@ -419,8 +430,8 @@ let () =
           Alcotest.test_case "promotion policy" `Quick test_promotion;
           Alcotest.test_case "nested checkpoint stress (40 seeds)" `Quick
             test_nested_stress;
-          Alcotest.test_case "rows vocabulary round trip" `Quick
-            test_rows_vocabulary;
+          Alcotest.test_case "labels spanning more than max_int" `Quick
+            test_wide_labels;
         ] );
       ( "checking",
         [

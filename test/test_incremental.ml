@@ -5,15 +5,18 @@
    doing per-pass work proportional to the dirty set.  This suite holds
    it to that, against the test-only rescan oracle (oracle/rescan.ml):
 
-   - 200+ seeded instances per rule family, incremental vs rescan, with
-     the row policy rotating across threshold / sparse / bitset / auto
-     so every physical representation goes through the cache paths;
+   - 200+ seeded instances per rule family, incremental vs rescan;
    - a rollback-invalidation stress: external speculative merges and
      nested checkpoints driven over an engine-attached cache, verifying
      the cache's counters, movelists and buckets survive rollback
      exactly (the engine must re-reach the same fixpoint afterwards);
-   - unit tests for the worklist structure and the summary-guided
-     hybrid row walk against the plain iterator. *)
+   - a row-form metamorphic relation: padding an instance with isolated
+     vertices so every kernel row starts as an int array leaves every
+     search's answer unchanged;
+   - the incremental elimination order against a from-scratch
+     elimination, with the kernel's promotion degree rotating so every
+     row form goes through it;
+   - unit tests for the worklist structure. *)
 
 module G = Rc_graph.Graph
 module Flat = Rc_graph.Flat
@@ -44,16 +47,6 @@ let all_rules =
   Conservative.
     [ Briggs; George; Briggs_george; Briggs_george_extended; Brute_force ]
 
-(* Rotate the physical row representation with the seed so each policy
-   sees a share of every property; [Threshold 2] promotes rows to
-   bitsets mid-run. *)
-let rows_of_seed seed =
-  match seed mod 4 with
-  | 0 -> Flat.Auto
-  | 1 -> Flat.Threshold 2
-  | 2 -> Flat.Sparse_rows
-  | _ -> Flat.Bitset_rows
-
 let classes_signature st = Coalescing.classes st
 
 (* ------------------------------------------------------------------ *)
@@ -75,14 +68,13 @@ let assert_same_solution name p a b =
 let test_conservative_differential () =
   run_seeds ~name:"incremental-vs-rescan" ~count:120 (fun seed ->
       let p = Qcheck_gen.problem ~n:40 ~n_affinities:30 seed in
-      let rows = rows_of_seed seed in
       List.iter
         (fun rule ->
           let a =
-            Conservative.coalesce_state ~rows rule ~k:p.k
+            Conservative.coalesce_state rule ~k:p.k
               (Coalescing.initial p.graph) p.affinities
           and b =
-            Rescan.conservative_state ~rows rule ~k:p.k
+            Rescan.conservative_state rule ~k:p.k
               (Coalescing.initial p.graph) p.affinities
           in
           assert_same_solution (Conservative.rule_name rule) p a b)
@@ -96,11 +88,10 @@ let test_conservative_differential_dense () =
         Qcheck_gen.problem_in ~cls:Qcheck_gen.Gnp ~n:60 ~density:0.4
           ~affinity_fraction:1.5 seed
       in
-      let rows = rows_of_seed seed in
       List.iter
         (fun rule ->
-          let a = Conservative.coalesce ~rows rule p
-          and b = Rescan.conservative ~rows rule p in
+          let a = Conservative.coalesce rule p
+          and b = Rescan.conservative rule p in
           assert_same_solution
             (Conservative.rule_name rule)
             p a.Coalescing.state b.Coalescing.state)
@@ -144,8 +135,7 @@ let test_rollback_stress () =
   run_seeds ~name:"rollback-invalidation-stress" ~count:60 (fun seed ->
       let p = Qcheck_gen.problem ~n:36 ~n_affinities:28 seed in
       let rng = Random.State.make [| seed; 0xb5 |] in
-      let rows = rows_of_seed seed in
-      let spec = Spec.of_state ~rows (Coalescing.initial p.graph) in
+      let spec = Spec.of_state (Coalescing.initial p.graph) in
       let e =
         Conservative.Engine.create Conservative.Briggs_george ~k:p.k spec
           p.affinities
@@ -191,7 +181,7 @@ let test_rollback_stress () =
       done;
       (* Final cross-check against an untouched rescan. *)
       let b =
-        Rescan.conservative_state ~rows Conservative.Briggs_george ~k:p.k
+        Rescan.conservative_state Conservative.Briggs_george ~k:p.k
           (Coalescing.initial p.graph)
           p.affinities
       in
@@ -208,9 +198,7 @@ let test_rollback_stress () =
 let test_set_differential () =
   run_seeds ~name:"set-incremental-vs-rescan" ~count:60 (fun seed ->
       let p = Qcheck_gen.problem ~n:26 ~n_affinities:20 seed in
-      let rows = rows_of_seed seed in
-      let a = Set_coalescing.coalesce ~rows p
-      and b = Rescan.set ~rows ~max_set:2 p in
+      let a = Set_coalescing.coalesce p and b = Rescan.set ~max_set:2 p in
       assert_same_solution "set search" p a.Coalescing.state
         b.Coalescing.state)
 
@@ -220,9 +208,7 @@ let test_set_differential () =
 let test_optimistic_differential () =
   run_seeds ~name:"optimistic-incremental-vs-rescan" ~count:60 (fun seed ->
       let p = Qcheck_gen.problem ~n:32 ~n_affinities:26 seed in
-      let rows = rows_of_seed seed in
-      let a = Optimistic.coalesce ~rows p
-      and b = Rescan.optimistic ~rows p in
+      let a = Optimistic.coalesce p and b = Rescan.optimistic p in
       assert_same_solution "optimistic" p a.Coalescing.state
         b.Coalescing.state)
 
@@ -237,15 +223,61 @@ let test_chordal_fallback_differential () =
       in
       if Chordal.is_chordal p.graph then
         Alcotest.failf "seed %d: expected a non-chordal instance" seed;
-      let rows = rows_of_seed seed in
-      let cached =
-        Strategies.run_cfg
-          { Strategies.default_config with rows = Some rows }
-          Strategies.Chordal_incremental p
-      in
-      let spec = Rescan.conservative ~rows Conservative.Brute_force p in
+      let cached = Strategies.run Strategies.Chordal_incremental p in
+      let spec = Rescan.conservative Conservative.Brute_force p in
       assert_same_solution "chordal-incremental, cached" p
         cached.Coalescing.state spec.Coalescing.state)
+
+(* ------------------------------------------------------------------ *)
+(* Row-form invariance                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Pad [p] with isolated vertices, numbered above its largest vertex, up
+   to 32 (D + 1) vertices for a largest degree D: the kernel's default
+   promotion degree becomes at least D + 1, so every row of the padded
+   mirror starts as an int array. *)
+let pad_to_sparse (p : Problem.t) =
+  let g = p.graph in
+  let d = G.fold_vertices (fun v acc -> max acc (G.degree g v)) g 0 in
+  let target = 32 * (d + 1) in
+  let next = G.max_vertex g + 1 in
+  let extra = max 0 (target - G.num_vertices g) in
+  let g' = ref g in
+  for i = 0 to extra - 1 do
+    g' := G.add_vertex !g' (next + i)
+  done;
+  { p with graph = !g' }
+
+(* Under the default rule small instances are almost all dense rows, so
+   without padding the searches' sparse paths would go untested.  The
+   answer depends on the graph's edges and its affinities alone, and
+   isolated vertices carry neither, so every heuristic must coalesce the
+   identical affinities once padded. *)
+let test_padded_rows () =
+  run_seeds ~name:"padded-rows-same-answers" ~count:200 (fun seed ->
+      let n = 10 + (seed mod 70) in
+      let p =
+        match seed mod 3 with
+        | 0 -> Qcheck_gen.problem ~n ~n_affinities:(3 * n / 4) seed
+        | 1 ->
+            Qcheck_gen.problem_in ~cls:Qcheck_gen.Interval ~n ~density:0.4
+              ~affinity_fraction:0.75 seed
+        | _ ->
+            Qcheck_gen.problem_in ~cls:Qcheck_gen.K_colorable ~n ~density:0.3
+              ~affinity_fraction:0.75 seed
+      in
+      let padded = pad_to_sparse p in
+      check_int
+        (Printf.sprintf "seed %d: padded rows start sparse" seed)
+        0
+        (Flat.dense_rows (Flat.of_graph padded.graph));
+      List.iter
+        (fun s ->
+          let a = Strategies.run s p and b = Strategies.run s padded in
+          if a.Coalescing.coalesced <> b.Coalescing.coalesced then
+            Alcotest.failf "seed %d: %s coalesces other affinities once padded"
+              seed (Strategies.name s))
+        Strategies.all_heuristics)
 
 (* ------------------------------------------------------------------ *)
 (* Incremental elimination order                                       *)
@@ -256,15 +288,23 @@ let test_chordal_fallback_differential () =
    [Greedy_k.flat_is_greedy_k_colorable]; on rejections, independently
    verify the stuck set really is a k-core of the merged graph (the
    witness contract); interleave foreign mutations to exercise the
-   epoch staleness detection and resync. *)
+   epoch staleness detection and resync.  The kernel's promotion degree
+   rotates with the seed: the default, 2 (rows promote mid-run), int
+   rows only and bitset rows only. *)
+let promote_at_of_seed seed =
+  match seed mod 4 with
+  | 0 -> None
+  | 1 -> Some 2
+  | 2 -> Some max_int
+  | _ -> Some 0
+
 let test_elim_order_oracle () =
   run_seeds ~name:"elim-order-oracle" ~count:60 (fun seed ->
       let rng = Random.State.make [| seed; 0xe110 |] in
       let n = 30 + Random.State.int rng 60 in
       let g = Generators.gnp rng ~n ~p:0.08 in
       let k = max 2 (Greedy_k.coloring_number g) in
-      let rows = rows_of_seed seed in
-      let f = Flat.of_graph ~rows g in
+      let f = Flat.of_graph ?promote_at:(promote_at_of_seed seed) g in
       let sigma = Elim_order.create f ~k in
       check "initial sync" true (Elim_order.sync sigma);
       Elim_order.self_check sigma;
@@ -410,34 +450,6 @@ let test_degree_bucket () =
   check_int "above k clamps" 5 (Worklist.degree_bucket ~k:5 50);
   check_int "zero" 0 (Worklist.degree_bucket ~k:5 0)
 
-(* ------------------------------------------------------------------ *)
-(* Hybrid row walk oracle                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_hybrid_iteration () =
-  run_seeds ~name:"hybrid-walk-oracle" ~count:60 (fun seed ->
-      let rng = Random.State.make [| seed; 0x4b1d |] in
-      let n = 80 + Random.State.int rng 200 in
-      let g = Generators.gnp rng ~n ~p:0.05 in
-      List.iter
-        (fun rows ->
-          let f = Flat.of_graph ~rows g in
-          (* Mutate a little so summaries have seen add/remove/merge. *)
-          for _ = 1 to 12 do
-            let a = Random.State.int rng n and b = Random.State.int rng n in
-            if a <> b && Flat.is_live f a && Flat.is_live f b
-               && not (Flat.mem_edge f a b)
-            then Flat.merge f a b
-          done;
-          Flat.check_invariants f;
-          Flat.iter_live f (fun v ->
-              let plain = ref [] and hybrid = ref [] in
-              Flat.iter_neighbors f v (fun u -> plain := u :: !plain);
-              Flat.iter_row_hybrid f v (fun u -> hybrid := u :: !hybrid);
-              check "hybrid walk = plain walk" true
-                (List.sort compare !plain = List.sort compare !hybrid)))
-        [ Flat.Auto; Flat.Sparse_rows; Flat.Bitset_rows; Flat.Threshold 1 ])
-
 let () =
   Alcotest.run "incremental"
     [
@@ -461,6 +473,8 @@ let () =
           Alcotest.test_case
             "chordal-incremental fallback incremental = rescan (40 seeds)"
             `Quick test_chordal_fallback_differential;
+          Alcotest.test_case "padded sparse rows, same answers (200 seeds)"
+            `Quick test_padded_rows;
         ] );
       ( "elim-order",
         [
@@ -473,10 +487,5 @@ let () =
           Alcotest.test_case "randomized vs model (50 seeds)" `Quick
             test_worklist_random;
           Alcotest.test_case "degree_bucket clamp" `Quick test_degree_bucket;
-        ] );
-      ( "hybrid-walk",
-        [
-          Alcotest.test_case "summary-guided = plain (60 seeds)" `Quick
-            test_hybrid_iteration;
         ] );
     ]

@@ -379,41 +379,29 @@ let test_race_error_propagates () =
     | _ -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Rows x domain-count byte-identity through the pool                  *)
+(* Domain-count byte-identity through the pool                         *)
 (* ------------------------------------------------------------------ *)
 
-let test_rows_domains_identity () =
+let test_domains_identity () =
   let tasks = 12 in
   let problem_of i = random_problem ~n:10 ~n_affinities:5 (1 + i) in
-  let solve_all ~rows ~domains strategy =
+  let solve_all ~domains strategy =
     Pool.with_pool ~domains (fun pool ->
         Pool.run pool ~tasks (fun i ->
             let p = problem_of i in
-            let cfg = { Strategies.default_config with rows } in
-            canon p (Strategies.run_cfg cfg strategy p)))
+            canon p (Strategies.run strategy p)))
   in
   List.iter
     (fun strategy ->
       let label = Strategies.name strategy in
-      let reference = solve_all ~rows:None ~domains:1 strategy in
-      List.iter
-        (fun (rows, rows_label) ->
-          List.iter
-            (fun domains ->
-              let got = solve_all ~rows ~domains strategy in
-              Array.iteri
-                (fun i r ->
-                  check_string
-                    (Printf.sprintf "%s rows=%s domains=%d instance %d" label
-                       rows_label domains i)
-                    reference.(i) r)
-                got)
-            [ 1; 4 ])
-        [
-          (None, "auto");
-          (Some Rc_graph.Flat.Bitset_rows, "bitset");
-          (Some Rc_graph.Flat.Sparse_rows, "sparse");
-        ])
+      let reference = solve_all ~domains:1 strategy in
+      let got = solve_all ~domains:4 strategy in
+      Array.iteri
+        (fun i r ->
+          check_string
+            (Printf.sprintf "%s domains=4 instance %d" label i)
+            reference.(i) r)
+        got)
     [ Strategies.Exact_backend "pb"; Strategies.Exact_backend "race" ]
 
 (* A failing sibling task aborts the pool run and cancels in-flight
@@ -517,22 +505,6 @@ let test_unknown_backend () =
         [ "bb"; "pb"; "race" ]
   | _ -> Alcotest.fail "expected Unknown_backend"
 
-let test_backend_selector () =
-  (* config.backend reroutes Exact_conservative without changing its
-     spelling — and the answer bytes must not move. *)
-  let p = random_problem ~n:10 ~n_affinities:5 6 in
-  let via_bb =
-    Strategies.run_cfg Strategies.default_config Strategies.Exact_conservative
-      p
-  in
-  let via_pb =
-    Strategies.run_cfg
-      { Strategies.default_config with backend = Some "pb" }
-      Strategies.Exact_conservative p
-  in
-  check_string "backend selector preserves the bytes" (canon p via_bb)
-    (canon p via_pb)
-
 (* Registered last on purpose: Dispatch.install adds the "static"
    router to the global registry, and the tests above assert against
    the pristine builtin table. *)
@@ -590,8 +562,8 @@ let () =
         ] );
       ( "engine",
         [
-          Alcotest.test_case "rows x domains byte-identity" `Quick
-            test_rows_domains_identity;
+          Alcotest.test_case "domains byte-identity" `Quick
+            test_domains_identity;
           Alcotest.test_case "pool abort reports the real error" `Quick
             test_pool_abort_reports_real_error;
           Alcotest.test_case "race provenance on reports" `Quick
@@ -604,8 +576,6 @@ let () =
             test_builtin_backends_registered;
           Alcotest.test_case "unknown backend is typed" `Quick
             test_unknown_backend;
-          Alcotest.test_case "config.backend selector" `Quick
-            test_backend_selector;
           Alcotest.test_case "router refused as exact" `Quick
             test_router_not_exact;
         ] );
