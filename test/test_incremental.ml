@@ -473,8 +473,6 @@ let () =
           Alcotest.test_case
             "chordal-incremental fallback incremental = rescan (40 seeds)"
             `Quick test_chordal_fallback_differential;
-          Alcotest.test_case "padded sparse rows, same answers (200 seeds)"
-            `Quick test_padded_rows;
         ] );
       ( "elim-order",
         [
@@ -487,5 +485,10 @@ let () =
           Alcotest.test_case "randomized vs model (50 seeds)" `Quick
             test_worklist_random;
           Alcotest.test_case "degree_bucket clamp" `Quick test_degree_bucket;
+        ] );
+      ( "padded-rows",
+        [
+          Alcotest.test_case "every search, same answers (200 seeds)" `Quick
+            test_padded_rows;
         ] );
     ]
