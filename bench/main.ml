@@ -515,14 +515,6 @@ let k7_static_analysis () =
      A single gadget shows the other side of the ledger honestly: the
      profile + presolve + incumbent overhead makes the dispatched
      route *slower* when direct search is already sub-millisecond. *)
-  Rc_analysis.Dispatch.install ();
-  let direct_cfg = Rc_core.Strategies.default_config in
-  let static_cfg =
-    {
-      direct_cfg with
-      Rc_core.Strategies.dispatch = Rc_core.Strategies.Static_profile;
-    }
-  in
   let gadget rng ~n_aff ~offset =
     let g =
       Rc_graph.Generators.random_chordal rng ~n:(3 * n_aff) ~extra:n_aff
@@ -558,9 +550,9 @@ let k7_static_analysis () =
         k := max !k ki
       done;
       let p = Rc_core.Problem.make ~graph:!g ~affinities:!affs ~k:!k in
-      let weight cfg =
+      let weight mode =
         Rc_core.Coalescing.coalesced_weight
-          (Rc_core.Strategies.run_cfg cfg
+          (Rc_analysis.Dispatch.run mode Rc_core.Strategies.default_config
              Rc_core.Strategies.Exact_conservative p)
       in
       (* one-shot timing, E13-style: these are ms..s-scale searches *)
@@ -569,8 +561,12 @@ let k7_static_analysis () =
         let r = f () in
         (Rc_core.Mclock.elapsed_s t0, r)
       in
-      let t_direct, w_direct = time (fun () -> weight direct_cfg) in
-      let t_static, w_static = time (fun () -> weight static_cfg) in
+      let t_direct, w_direct =
+        time (fun () -> weight Rc_analysis.Dispatch.Direct)
+      in
+      let t_static, w_static =
+        time (fun () -> weight Rc_analysis.Dispatch.Static_profile)
+      in
       if w_direct <> w_static then
         failwith "K7: dispatched exact lost the optimum";
       let ratio = if t_static > 0. then t_direct /. t_static else 0. in

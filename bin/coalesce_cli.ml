@@ -87,7 +87,7 @@ module Common = struct
   let strategy_names =
     "aggressive, briggs, george, briggs-george, briggs-george-ext, \
      brute-force, irc, irc-briggs, optimistic, chordal, set2, set3, exact, \
-     exact:pb, exact:race (or exact:NAME for any registered solver backend)"
+     exact:bb, exact:pb, exact:race"
 
   let chordal =
     Arg.(value & flag & info [ "chordal" ] ~doc:"Chordal instance flavor.")
@@ -193,13 +193,13 @@ let generate_cmd =
    routing on both sides of the wire. *)
 let dispatch_conv =
   let parse = function
-    | "direct" -> Ok Strategies.Direct
-    | "static" -> Ok Strategies.Static_profile
+    | "direct" -> Ok Rc_analysis.Dispatch.Direct
+    | "static" -> Ok Rc_analysis.Dispatch.Static_profile
     | s -> Error (`Msg (Printf.sprintf "unknown dispatch %S (direct, static)" s))
   in
   let print ppf = function
-    | Strategies.Direct -> Format.fprintf ppf "direct"
-    | Strategies.Static_profile -> Format.fprintf ppf "static"
+    | Rc_analysis.Dispatch.Direct -> Format.fprintf ppf "direct"
+    | Rc_analysis.Dispatch.Static_profile -> Format.fprintf ppf "static"
   in
   Arg.conv (parse, print)
 
@@ -223,7 +223,7 @@ let solve_cmd =
   let dispatch_arg =
     Arg.(
       value
-      & opt dispatch_conv Strategies.Direct
+      & opt dispatch_conv Rc_analysis.Dispatch.Direct
       & info [ "dispatch" ] ~docv:"MODE"
           ~doc:
             "Solve routing: direct (the named strategy's primitive) or static \
@@ -236,15 +236,18 @@ let solve_cmd =
     let strategies =
       match strategy with Some s -> [ s ] | None -> Strategies.all_heuristics
     in
-    if dispatch = Strategies.Static_profile then Rc_analysis.Dispatch.install ();
-    let cfg = { Strategies.check; seed; dispatch } in
+    let cfg = { Strategies.check; seed } in
     if not timing then
-      print_string (Rc_engine.Server.one_shot ~config:cfg ~strategies problem)
+      print_string
+        (Rc_engine.Server.one_shot ~dispatch ~config:cfg ~strategies problem)
     else begin
       Format.printf "%s@." (Rc_core.Problem.stats problem);
       List.iter
         (fun s ->
-          let r = Strategies.evaluate_cfg cfg s problem in
+          let r =
+            Strategies.evaluate_with (Rc_analysis.Dispatch.run dispatch cfg) s
+              problem
+          in
           Format.printf "%a@." Strategies.pp_report r)
         strategies
     end
@@ -747,7 +750,7 @@ let serve_cmd =
   let serve_dispatch_arg =
     Arg.(
       value
-      & opt dispatch_conv Strategies.Direct
+      & opt dispatch_conv Rc_analysis.Dispatch.Direct
       & info [ "dispatch" ] ~docv:"MODE"
           ~doc:
             "Solve routing for served requests: direct, or static to route \
@@ -838,12 +841,18 @@ let client_cmd =
   let run socket tcp seed k chordal file strategy text ping stats shutdown
       repeat =
     let open Server.Client in
+    let reaching what connect =
+      try connect ()
+      with Unix.Unix_error (e, _, _) ->
+        failwith
+          (Printf.sprintf "cannot connect to %s: %s" what (Unix.error_message e))
+    in
     let fd =
       match (socket, tcp) with
-      | Some path, None -> connect path
+      | Some path, None -> reaching path (fun () -> connect path)
       | None, Some spec ->
           let host, port = parse_host_port spec in
-          connect_tcp host port
+          reaching spec (fun () -> connect_tcp host port)
       | Some _, Some _ -> failwith "client: --socket and --connect are exclusive"
       | None, None -> failwith "client: need --socket PATH or --connect HOST:PORT"
     in
@@ -952,24 +961,38 @@ let convert_cmd =
       const run $ Common.seed $ Common.k $ Common.chordal $ Common.file
       $ out_arg $ to_arg)
 
+(* A [Failure] or [Sys_error] that escapes a subcommand carries a
+   message for the user (a refused instance, an unreachable server, a
+   missing file): one line on stderr and cmdliner's some-error code.
+   Any other exception is a bug and keeps cmdliner's internal-error
+   report and code. *)
 let () =
   let info =
     Cmd.info "coalesce" ~version:"1.0"
       ~doc:"Register-coalescing complexity toolbox (Bouchez–Darte–Rastello)."
   in
+  let cmd =
+    Cmd.group info
+      [
+        generate_cmd;
+        solve_cmd;
+        analyze_cmd;
+        check_cmd;
+        sweep_cmd;
+        reduction_cmd;
+        thm5_cmd;
+        allocate_cmd;
+        serve_cmd;
+        client_cmd;
+        convert_cmd;
+      ]
+  in
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            generate_cmd;
-            solve_cmd;
-            analyze_cmd;
-            check_cmd;
-            sweep_cmd;
-            reduction_cmd;
-            thm5_cmd;
-            allocate_cmd;
-            serve_cmd;
-            client_cmd;
-            convert_cmd;
-          ]))
+    (try Cmd.eval ~catch:false cmd with
+    | Failure m | Sys_error m ->
+        prerr_endline ("coalesce: " ^ m);
+        Cmd.Exit.some_error
+    | e ->
+        Printf.eprintf "coalesce: internal error, uncaught exception:\n%s\n%!"
+          (Printexc.to_string e);
+        Cmd.Exit.internal_error)

@@ -162,7 +162,6 @@ type bin_error =
   | Bin_bad_header of string
   | Bin_truncated of { expected : int; got : int }
   | Bin_malformed of string
-  | Bin_io of string
 
 let bin_error_to_string = function
   | Bin_bad_magic -> Printf.sprintf "bad magic (want %S)" binary_magic
@@ -172,21 +171,14 @@ let bin_error_to_string = function
   | Bin_truncated { expected; got } ->
       Printf.sprintf "truncated: expected %d bytes, got %d" expected got
   | Bin_malformed m -> Printf.sprintf "malformed body: %s" m
-  | Bin_io m -> Printf.sprintf "i/o error: %s" m
-
-type bigview = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 (* Where an encoding's 32-bit words live: inside a string from a byte
    offset on (a request payload, possibly in the middle of a larger
-   read buffer), or in an int32 Bigarray (an mmap-ed file).  Every read
-   goes through [word], so the validator and the loaders have one body
-   for both backings, and a word read allocates nothing. *)
-type words = In_string of string * int | In_bigarray of bigview
+   read buffer).  Every read goes through [word], and a word read
+   allocates nothing. *)
+type words = { s : string; base : int }
 
-let word src i =
-  match src with
-  | In_string (s, base) -> Int32.to_int (String.get_int32_le s (base + (4 * i)))
-  | In_bigarray a -> Int32.to_int (Bigarray.Array1.get a i)
+let word src i = Int32.to_int (String.get_int32_le src.s (src.base + (4 * i)))
 
 (* A validated instance whose sections still live in their backing
    store: iteration reads the words in place, no per-element boxing or
@@ -427,10 +419,7 @@ let validate src ~words =
 let validate_string s ~pos ~len =
   if len mod 4 <> 0 then
     Error (Bin_truncated { expected = 4 * ((len / 4) + 1); got = len })
-  else validate (In_string (s, pos)) ~words:(len / 4)
-
-let view_of_bigarray (data : bigview) =
-  validate (In_bigarray data) ~words:(Bigarray.Array1.dim data)
+  else validate { s; base = pos } ~words:(len / 4)
 
 let view_of_binary s = validate_string s ~pos:0 ~len:(String.length s)
 
@@ -447,31 +436,6 @@ let write_binary_file path p =
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (to_binary p))
-
-let map_binary_file path =
-  match
-    let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-    Fun.protect
-      ~finally:(fun () -> Unix.close fd)
-      (fun () ->
-        let bytes = (Unix.fstat fd).Unix.st_size in
-        if bytes mod 4 <> 0 then
-          Error (Bin_truncated { expected = 4 * ((bytes / 4) + 1); got = bytes })
-        else
-          (* The kernel backs the pages straight from the file cache:
-             nothing is read or copied until the validation scans and
-             the Flat bulk load touch the words. *)
-          let arr =
-            Unix.map_file fd Bigarray.int32 Bigarray.c_layout false
-              [| bytes / 4 |]
-          in
-          view_of_bigarray (Bigarray.array1_of_genarray arr))
-  with
-  | r -> r
-  | exception Unix.Unix_error (e, _, _) -> Error (Bin_io (Unix.error_message e))
-  | exception Sys_error m -> Error (Bin_io m)
-
-let read_binary_file path = Result.map view_problem (map_binary_file path)
 
 (* ---- canonical hash ---------------------------------------------- *)
 
@@ -507,14 +471,4 @@ let key_binary s ~pos ~len = Result.map fst (key_view s ~pos ~len)
 
 let copy_view v =
   let words = header_words + v.nv + (2 * v.ne) + (3 * v.na) in
-  let src =
-    match v.src with
-    | In_string (s, base) -> String.sub s base (4 * words)
-    | In_bigarray a ->
-        let b = Bytes.create (4 * words) in
-        for i = 0 to words - 1 do
-          Bytes.set_int32_le b (4 * i) (Bigarray.Array1.get a i)
-        done;
-        Bytes.unsafe_to_string b
-  in
-  { v with src = In_string (src, 0) }
+  { v with src = { s = String.sub v.src.s v.src.base (4 * words); base = 0 } }

@@ -50,19 +50,16 @@ val write_file : string -> Rc_core.Problem.t -> unit
     equal problems — the serve path keys its answer cache on
     {!hash_binary} of these bytes ({!key_binary}).  The sections are
     index-based so a loader can stream them into a {!Rc_graph.Flat}
-    kernel with no id translation ({!view_flat}), and the file reader
-    mmaps the encoding into a [Bigarray] so nothing is copied or even
-    read until the validation scans and the bulk load touch the words
-    ({!map_binary_file}).  See DESIGN.md "Coalescing as a service" for
-    the normative byte layout.
+    kernel with no id translation ({!view_flat}).  See DESIGN.md
+    "Coalescing as a service" for the normative byte layout.
 
     Every entry point that accepts bytes — {!of_binary},
-    {!view_of_binary}, {!view_of_bigarray}, {!map_binary_file},
-    {!read_binary_file} and {!key_binary} — runs one shared validator
-    over the words where they lie (a string at an offset, or a
-    [Bigarray]): the same checks in the same order, so the same bytes
-    get the same [Ok]/[bin_error] constructor from each.  It is a
-    direct loop that allocates nothing per word. *)
+    {!view_of_binary}, {!key_binary} and {!key_view} — runs one shared
+    validator over the words where they lie (a string from an offset
+    on): the same checks in the same order, so the same bytes get the
+    same [Ok]/[bin_error] constructor from each.  It is a direct loop
+    that allocates nothing per word.  Files are read whole and decoded
+    as strings ({!of_binary}). *)
 
 type bin_error =
   | Bin_bad_magic
@@ -72,7 +69,6 @@ type bin_error =
   | Bin_malformed of string
       (** body violations: unsorted/duplicate vertices, edges or
           affinities, out-of-range indices, negative weights *)
-  | Bin_io of string  (** file-system errors on the mmap path *)
 
 val bin_error_to_string : bin_error -> string
 
@@ -103,14 +99,10 @@ val is_binary : string -> bool
 (** {2 Zero-copy views} *)
 
 type view
-(** A validated instance whose sections still live in their backing
-    store (the decoded string, or a possibly mmap-ed [Bigarray]);
-    iteration reads the words in place. *)
+(** A validated instance whose sections still live in the string they
+    were validated in; iteration reads the words in place. *)
 
 val view_of_binary : string -> (view, bin_error) result
-val view_of_bigarray :
-  (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t ->
-  (view, bin_error) result
 
 val view_k : view -> int
 val view_counts : view -> int * int * int
@@ -153,12 +145,6 @@ val copy_view : view -> view
 (** {2 Files} *)
 
 val write_binary_file : string -> Rc_core.Problem.t -> unit
-
-val map_binary_file : string -> (view, bin_error) result
-(** [Unix.map_file]-backed load: the returned view reads the page
-    cache directly. *)
-
-val read_binary_file : string -> (Rc_core.Problem.t, bin_error) result
 
 (** {2 Canonical hash} *)
 

@@ -20,6 +20,10 @@ let name = function
   | Exact_conservative -> "exact"
   | Exact_backend b -> "exact:" ^ b
 
+(* The exact backends, a closed set: [exact:NAME] spells one of these
+   and nothing else. *)
+let exact_backends = [ "bb"; "pb"; "race" ]
+
 (* One token per strategy, shared by every front end (the CLI's
    --strategy flag, sweep filters, test drivers) so the spelling lives
    in exactly one place.  Accepts both the short CLI tokens and the
@@ -51,7 +55,11 @@ let of_string s =
       in
       let set_of prefix = Option.bind (suffix_of prefix) int_of_string_opt in
       match suffix_of "exact:" with
-      | Some b -> Ok (Exact_backend b)
+      | Some b when List.mem b exact_backends -> Ok (Exact_backend b)
+      | Some _ ->
+          Error
+            (Printf.sprintf "unknown strategy %S (exact backends: %s)" s
+               (String.concat ", " exact_backends))
       | None -> (
           match (set_of "set", set_of "set-conservative/") with
           | Some n, _ | None, Some n when n >= 1 -> Ok (Set_conservative n)
@@ -78,97 +86,21 @@ let all_heuristics =
 
 type check_level = No_check | Validate_input | Assert_conservative
 
-type dispatch = Direct | Static_profile
+type config = { check : check_level; seed : int }
 
-type config = { check : check_level; seed : int; dispatch : dispatch }
+let default_config = { check = No_check; seed = 0 }
 
-let default_config = { check = No_check; seed = 0; dispatch = Direct }
-
-(* ------------------------------------------------------------------ *)
-(* The solver-backend registry.  It replaces the old
-   [set_static_dispatcher] option ref: anything that extends the solve
-   path — a second exact solver, a portfolio, the Rc_analysis profile
-   router — registers a named entry here, and every front end (solve,
-   sweep, serve) resolves backends through the same table.             *)
-(* ------------------------------------------------------------------ *)
-
-module Backend = struct
-  type caps = { exact : bool; router : bool }
-
-  type nonrec backend = {
-    bname : string;
-    describe : string;
-    caps : caps;
-    solve :
-      ?stop:(unit -> bool) ->
-      ?prime:Coalescing.solution ->
-      config ->
-      t ->
-      Problem.t ->
-      Coalescing.solution;
-  }
-
-  (* An atomic assoc list: registrations happen at module init or
-     explicit install time, lookups happen concurrently on every
-     worker domain — readers take a snapshot, writers CAS. *)
-  let table : backend list Atomic.t = Atomic.make []
-
-  exception Unknown_backend of { requested : string; known : string list }
-
-  let () =
-    Printexc.register_printer (function
-      | Unknown_backend { requested; known } ->
-          Some
-            (Printf.sprintf "unknown solver backend %S (known: %s)" requested
-               (String.concat ", " known))
-      | _ -> None)
-
-  let known () =
-    List.sort compare (List.map (fun b -> b.bname) (Atomic.get table))
-
-  let rec register b =
-    let cur = Atomic.get table in
-    let without = List.filter (fun b' -> b'.bname <> b.bname) cur in
-    if not (Atomic.compare_and_set table cur (b :: without)) then register b
-
-  let find requested =
-    List.find_opt (fun b -> b.bname = requested) (Atomic.get table)
-
-  let find_exn requested =
-    match find requested with
-    | Some b -> b
-    | None -> raise (Unknown_backend { requested; known = known () })
-end
-
-(* The built-in exact backends.  Registered at module initialization —
-   not from the backends' own modules, which nothing would force the
-   linker to keep — so every program that can spell [exact:NAME] has
-   the builtins available. *)
-let () =
-  Backend.register
-    {
-      Backend.bname = "bb";
-      describe = "branch-and-bound on the speculation context (the default)";
-      caps = { Backend.exact = true; router = false };
-      solve = (fun ?stop ?prime _cfg _strategy p -> Exact.conservative ?stop ?prime p);
-    };
-  Backend.register
-    {
-      Backend.bname = "pb";
-      describe = "pseudo-boolean 0-1 core (CDCL, lazy colorability no-goods)";
-      caps = { Backend.exact = true; router = false };
-      solve = (fun ?stop ?prime _cfg _strategy p -> Pb.conservative ?stop ?prime p);
-    };
-  Backend.register
-    {
-      Backend.bname = "race";
-      describe =
-        "portfolio: bb vs pb per union component, first certified answer wins";
-      caps = { Backend.exact = true; router = false };
-      solve =
-        (fun ?stop ?prime _cfg _strategy p ->
-          Portfolio.conservative_race ?stop ?prime p);
-    }
+let solve_exact ?stop ?prime name p =
+  match name with
+  | "bb" -> Exact.conservative ?stop ?prime p
+  | "pb" -> Pb.conservative ?stop ?prime p
+  | "race" -> Portfolio.conservative_race ?stop ?prime p
+  | _ ->
+      invalid_arg
+        (Printf.sprintf "Strategies.solve_exact: unknown exact backend %S \
+                         (known: %s)"
+           name
+           (String.concat ", " exact_backends))
 
 let run_chordal_incremental (p : Problem.t) =
   if not (Rc_graph.Chordal.is_chordal p.graph) then
@@ -206,53 +138,11 @@ let validate_input p =
    Aggressive explicitly does not; everything else does. *)
 let claims_conservative = function Aggressive -> false | _ -> true
 
-(* Resolve a named exact backend and run it.  The ambient Cancel probe
-   rides along so pool aborts reach long exact searches. *)
-let run_backend cfg strategy bname p =
-  let bk = Backend.find_exn bname in
-  if not bk.Backend.caps.exact then
-    invalid_arg
-      (Printf.sprintf
-         "Strategies.run_cfg: backend %S is a router, not an exact solver \
-          (known exact backends: %s)"
-         bname
-         (String.concat ", "
-            (List.filter
-               (fun n -> (Backend.find_exn n).Backend.caps.exact)
-               (Backend.known ()))));
-  bk.Backend.solve ~stop:(Cancel.probe ()) cfg strategy p
-
-let run_cfg cfg strategy (p : Problem.t) =
+let checked cfg strategy p solve =
   (match cfg.check with
   | No_check -> ()
   | Validate_input | Assert_conservative -> validate_input p);
-  let sol =
-    match cfg.dispatch with
-    | Static_profile -> (
-        match Backend.find "static" with
-        | Some bk ->
-            bk.Backend.solve ~stop:(Cancel.probe ())
-              { cfg with dispatch = Direct }
-              strategy p
-        | None ->
-            invalid_arg
-              "Strategies.run_cfg: dispatch = Static_profile but the \
-               \"static\" router backend is not registered (call \
-               Rc_analysis.Dispatch.install first)")
-    | Direct -> (
-        match strategy with
-        | Aggressive -> Aggressive.coalesce p
-        | Conservative r -> Conservative.coalesce r p
-        | Irc r -> (Irc.allocate ~rule:r p).solution
-        | Optimistic -> Optimistic.coalesce p
-        | Chordal_incremental -> run_chordal_incremental p
-        | Set_conservative n ->
-            (* [Invalid_argument] for n < 1, which [of_string] never
-               yields. *)
-            Set_coalescing.coalesce ~max_set:n p
-        | Exact_conservative -> run_backend cfg strategy "bb" p
-        | Exact_backend b -> run_backend cfg strategy b p)
-  in
+  let sol = solve () in
   (match cfg.check with
   | Assert_conservative
     when claims_conservative strategy && not (Coalescing.is_conservative p sol)
@@ -263,6 +153,23 @@ let run_cfg cfg strategy (p : Problem.t) =
            (name strategy))
   | _ -> ());
   sol
+
+(* The ambient Cancel probe rides along so pool aborts reach long exact
+   searches. *)
+let run_cfg cfg strategy (p : Problem.t) =
+  checked cfg strategy p (fun () ->
+      match strategy with
+      | Aggressive -> Aggressive.coalesce p
+      | Conservative r -> Conservative.coalesce r p
+      | Irc r -> (Irc.allocate ~rule:r p).solution
+      | Optimistic -> Optimistic.coalesce p
+      | Chordal_incremental -> run_chordal_incremental p
+      | Set_conservative n ->
+          (* [Invalid_argument] for n < 1, which [of_string] never
+             yields. *)
+          Set_coalescing.coalesce ~max_set:n p
+      | Exact_conservative -> solve_exact ~stop:(Cancel.probe ()) "bb" p
+      | Exact_backend b -> solve_exact ~stop:(Cancel.probe ()) b p)
 
 let run strategy p = run_cfg default_config strategy p
 
@@ -283,11 +190,7 @@ let describe_outcome (o : Portfolio.outcome) =
     (float_of_int o.cancel_latency_ns /. 1e6)
     o.losers_finished
 
-let evaluate_cfg cfg strategy p =
-  Portfolio.clear_last_outcome ();
-  let t0 = Mclock.now_ns () in
-  let sol = run_cfg cfg strategy p in
-  let time_s = Mclock.elapsed_s t0 in
+let report_of_solution strategy p (sol : Coalescing.solution) =
   {
     strategy = name strategy;
     coalesced_weight = Coalescing.coalesced_weight sol;
@@ -295,9 +198,22 @@ let evaluate_cfg cfg strategy p =
     coalesced_count = List.length sol.coalesced;
     affinity_count = List.length p.affinities;
     conservative = Coalescing.is_conservative p sol;
+    time_s = 0.;
+    provenance = None;
+  }
+
+let evaluate_with solve strategy p =
+  Portfolio.clear_last_outcome ();
+  let t0 = Mclock.now_ns () in
+  let sol = solve strategy p in
+  let time_s = Mclock.elapsed_s t0 in
+  {
+    (report_of_solution strategy p sol) with
     time_s;
     provenance = Option.map describe_outcome (Portfolio.last_outcome ());
   }
+
+let evaluate_cfg cfg = evaluate_with (run_cfg cfg)
 
 let evaluate strategy p = evaluate_cfg default_config strategy p
 
@@ -314,15 +230,3 @@ let pp_report ppf r =
   match r.provenance with
   | Some why -> Format.fprintf ppf "  [%s]" why
   | None -> ()
-
-let report_of_solution strategy p (sol : Coalescing.solution) =
-  {
-    strategy = name strategy;
-    coalesced_weight = Coalescing.coalesced_weight sol;
-    total_weight = Problem.total_weight p;
-    coalesced_count = List.length sol.coalesced;
-    affinity_count = List.length p.affinities;
-    conservative = Coalescing.is_conservative p sol;
-    time_s = 0.;
-    provenance = None;
-  }

@@ -3,11 +3,13 @@
     and the domain-parallel sweep engine ({!Rc_engine.Sweep}).
 
     {!run_cfg} is the single solver entry point: one {!config} record
-    carries the checking level, seed and dispatch mode of a run.  The
+    carries the checking level and seed of a run.  The
     per-search entry points ([Conservative.coalesce],
     [Optimistic.coalesce], [Set_coalescing.coalesce ~max_set]) remain
     as the primitives this dispatcher calls — prefer {!run_cfg} in new
-    code. *)
+    code.  Profile-driven routing lives a layer above, in
+    [Rc_analysis.Dispatch], which applies the same checks through
+    {!checked}. *)
 
 type t =
   | Aggressive  (** greedy aggressive (colorability ignored) *)
@@ -29,20 +31,27 @@ type t =
           branch-and-bound (small instances): solved as
           [Exact_backend "bb"] is, under its own name *)
   | Exact_backend of string
-      (** exact optimum through the named {!Backend} registry entry —
+      (** exact optimum through one of {!exact_backends} —
           [Exact_backend "pb"] spells [exact:pb], [Exact_backend "race"]
-          spells [exact:race].  Resolution happens at solve time;
-          {!run_cfg} raises {!Backend.Unknown_backend} for names nobody
-          registered. *)
+          spells [exact:race].  {!of_string} yields no other name;
+          {!run_cfg} raises [Invalid_argument] on a hand-built one. *)
 
 val name : t -> string
+
+val exact_backends : string list
+(** The exact backends, in this order: ["bb"] (the branch-and-bound),
+    ["pb"] ({!Pb}, the pseudo-boolean core) and ["race"]
+    ({!Portfolio.conservative_race}, bb against pb per union
+    component).  A closed set: nothing can add to it at run time. *)
 
 val of_string : string -> (t, string) result
 (** Inverse of {!name}, also accepting the short CLI tokens
     ([briggs], [briggs-george-ext], [irc], [set2], [set3], [chordal],
-    ...) and the backend-qualified exact spellings ([exact],
-    [exact:pb], [exact:race], [exact:NAME] for any registered NAME).
-    The one strategy-spelling table every front end (CLI subcommands,
+    ...) and the backend-qualified exact spellings ([exact], and
+    [exact:NAME] for each NAME of {!exact_backends}).  Any other
+    [exact:NAME] is an [Error] that lists the known names, so a typo is
+    refused at parse time by every front end.  The one
+    strategy-spelling table every front end (CLI subcommands,
     [sweep --strategies], serve, client flag parsing, tests) shares. *)
 
 val all_heuristics : t list
@@ -62,18 +71,6 @@ type check_level =
           otherwise.  For the full independent re-derivation, see
           [Rc_check.Certify] (a layer above this library). *)
 
-type dispatch =
-  | Direct  (** run the named strategy's primitive as-is (default) *)
-  | Static_profile
-      (** route through the static instance analyzer: profile the
-          instance, apply certified presolve, pick the polynomial path
-          the structure admits (interval endpoint walk, chordal
-          incremental) or prime the exact backend with a heuristic
-          incumbent, and lift the answer back.  Requires
-          [Rc_analysis.Dispatch.install] to have run (it registers the
-          ["static"] router in the {!Backend} registry); [run_cfg]
-          raises [Invalid_argument] otherwise. *)
-
 type config = {
   check : check_level;
   seed : int;
@@ -82,71 +79,32 @@ type config = {
           only documents the run (sweep reports record it); a future
           randomized strategy must draw from it and nothing else, or
           domain-parallel runs stop being reproducible. *)
-  dispatch : dispatch;
 }
 
 val default_config : config
-(** [{ check = No_check; seed = 0; dispatch = Direct }] *)
+(** [{ check = No_check; seed = 0 }] *)
 
-(** {1 The solver-backend registry}
+val solve_exact :
+  ?stop:(unit -> bool) ->
+  ?prime:Coalescing.solution ->
+  string ->
+  Problem.t ->
+  Coalescing.solution
+(** [solve_exact name p] runs the exact backend [name] (one of
+    {!exact_backends}) on [p].  [?stop] is the cooperative {!Cancel}
+    probe; [?prime] an optional known-feasible incumbent that prunes
+    the search.  Raises [Invalid_argument], naming the known backends,
+    for any other [name].  {!run_cfg} and the dispatcher's presolved
+    parts both solve through it. *)
 
-    First-class replacement for the old [set_static_dispatcher]
-    option-ref: every extension of the solve path — a second exact
-    solver, the portfolio racer, the [Rc_analysis] profile router — is
-    a named {!Backend.backend} record, and every front end resolves
-    names through the same table, so a backend registered once is
-    reachable from [solve], [sweep] and [serve] alike.
-
-    Builtins registered at module initialization: ["bb"] (the
-    branch-and-bound), ["pb"] ({!Pb}), ["race"]
-    ({!Portfolio.conservative_race}).  [Rc_analysis.Dispatch.install]
-    adds ["static"] (the only [router] entry).  Also exposed at the
-    library root as [Rc_core.Solver_backend]. *)
-
-module Backend : sig
-  type caps = {
-    exact : bool;
-        (** solves [Exact_conservative]-class requests: the answer is
-            the certified optimum, suitable for [exact:NAME] spellings *)
-    router : bool;
-        (** a whole-config router (profile + presolve + delegate), only
-            reachable through [dispatch = Static_profile] *)
-  }
-
-  type backend = {
-    bname : string;  (** stable registry key, as spelled in [exact:NAME] *)
-    describe : string;  (** one-line human description *)
-    caps : caps;
-    solve :
-      ?stop:(unit -> bool) ->
-      ?prime:Coalescing.solution ->
-      config ->
-      t ->
-      Problem.t ->
-      Coalescing.solution;
-        (** [?stop] is the cooperative {!Cancel} probe; [?prime] an
-            optional known-feasible incumbent.  Routers receive the
-            caller's config (with [dispatch] reset to [Direct]) and the
-            requested strategy; plain exact backends may ignore both. *)
-  }
-
-  exception Unknown_backend of { requested : string; known : string list }
-  (** The typed lookup failure: raised by {!find_exn} (and thus by
-      [run_cfg] on an unregistered [Exact_backend] name), carrying the
-      registered names.  A printer is installed via
-      [Printexc.register_printer]. *)
-
-  val register : backend -> unit
-  (** Publish (or replace, by name) an entry.  Safe to call
-      concurrently; in practice registration happens at module
-      initialization or [Dispatch.install] time, before domains spawn. *)
-
-  val find : string -> backend option
-  val find_exn : string -> backend
-
-  val known : unit -> string list
-  (** Registered names, sorted. *)
-end
+val checked :
+  config -> t -> Problem.t -> (unit -> Coalescing.solution) ->
+  Coalescing.solution
+(** [checked cfg s p solve] runs [solve ()] under [cfg.check]: the
+    input validation before it and the conservative assertion on its
+    answer (see {!check_level}), exactly as {!run_cfg} applies them.
+    For solvers outside this library that answer for [s] — the
+    [Rc_analysis.Dispatch] router. *)
 
 val run_cfg : config -> t -> Problem.t -> Coalescing.solution
 (** The unified solve path: dispatches to the strategy's primitive with
@@ -177,7 +135,13 @@ type report = {
           and must not perturb the cached/differential byte contract. *)
 }
 
+val evaluate_with :
+  (t -> Problem.t -> Coalescing.solution) -> t -> Problem.t -> report
+(** [evaluate_with solve s p] times [solve s p] on the monotonic clock
+    and reports it, with the race provenance if a portfolio ran. *)
+
 val evaluate_cfg : config -> t -> Problem.t -> report
+(** [evaluate_with (run_cfg cfg)]. *)
 
 val evaluate : t -> Problem.t -> report
 (** [evaluate_cfg default_config].  Kept for the pre-config call sites;

@@ -148,21 +148,16 @@ let claims_for (s : Strategies.t) =
   | Strategies.Exact_conservative | Strategies.Exact_backend _ ->
       [ Certify.Conservative ]
 
-(* One strategy, one solution.  With [dispatch = Static_profile] and a
-   profile in hand (the server's profile-cache hit), call the router
-   directly so the cached analysis is actually reused; routing is a
-   pure function of the profile, so the answer is byte-identical to
-   the [run_cfg] path (which would re-profile). *)
-let solve_one ?profile config s p =
-  match (config.Strategies.dispatch, profile) with
-  | Strategies.Static_profile, Some _ ->
-      Rc_analysis.Dispatch.solve ?profile
-        { config with Strategies.dispatch = Strategies.Direct }
-        s p
-  | _ -> Strategies.run_cfg config s p
-
-let render ?profile config strategies p =
-  let sols = List.map (fun s -> (s, solve_one ?profile config s p)) strategies in
+(* One solution per strategy.  Under [Static_profile], a profile in
+   hand (the server's profile-cache hit) is the router's input, so the
+   cached analysis is actually reused; routing is a pure function of
+   the profile, so the answer is byte-identical to a fresh profile's. *)
+let render ?profile dispatch config strategies p =
+  let sols =
+    List.map
+      (fun s -> (s, Rc_analysis.Dispatch.run ?profile dispatch config s p))
+      strategies
+  in
   let buf = Buffer.create 256 in
   Buffer.add_string buf (Problem.stats p);
   Buffer.add_char buf '\n';
@@ -175,8 +170,9 @@ let render ?profile config strategies p =
     sols;
   (Buffer.contents buf, sols)
 
-let one_shot ?(config = Strategies.default_config) ~strategies p =
-  fst (render config strategies p)
+let one_shot ?(dispatch = Rc_analysis.Dispatch.Direct)
+    ?(config = Strategies.default_config) ~strategies p =
+  fst (render dispatch config strategies p)
 
 (* ------------------------------------------------------------------ *)
 (* Size-bounded LRU                                                    *)
@@ -275,7 +271,7 @@ type config = {
   cache_capacity : int;
   max_payload : int;
   max_conns : int;
-  dispatch : Strategies.dispatch;
+  dispatch : Rc_analysis.Dispatch.mode;
 }
 
 let default_config =
@@ -285,7 +281,7 @@ let default_config =
     cache_capacity = 4096;
     max_payload = Wire.max_payload_default;
     max_conns = 32;
-    dispatch = Strategies.Direct;
+    dispatch = Rc_analysis.Dispatch.Direct;
   }
 
 (* One live connection, as the registry sees it: the concurrent
@@ -324,10 +320,6 @@ type t = {
 }
 
 let create ?(config = default_config) () =
-  (* Register the router before any worker domain exists: the
-     dispatcher ref must be published by the spawns. *)
-  if config.dispatch = Strategies.Static_profile then
-    Rc_analysis.Dispatch.install ();
   {
     config;
     pool = Pool.create ~domains:config.domains;
@@ -454,8 +446,8 @@ let stats_text t =
    differential suites pin), but the token keeps the cache honest if a
    future route ever changes what it streams. *)
 let dispatch_token = function
-  | Strategies.Direct -> "direct"
-  | Strategies.Static_profile -> "static"
+  | Rc_analysis.Dispatch.Direct -> "direct"
+  | Rc_analysis.Dispatch.Static_profile -> "static"
 
 let cache_key t ~hash ~stoken =
   String.concat "|" [ hash; stoken; dispatch_token t.config.dispatch ]
@@ -504,16 +496,6 @@ let key_solve t payload len : (keyed, Protocol.error) result =
       if sname = "" || sname = "all" then Ok (Strategies.all_heuristics, "all")
       else
         match Strategies.of_string sname with
-        | Ok (Strategies.Exact_backend b as s) -> (
-            (* The spelling is valid; make sure the backend actually
-               exists in this server's registry before accepting work
-               for it, so a typo'd [exact:foo] is a typed refusal at
-               read time, not a solver failure mid-batch. *)
-            match Strategies.Backend.find b with
-            | Some bk when bk.Strategies.Backend.caps.Strategies.Backend.exact
-              ->
-                Ok ([ s ], Strategies.name s)
-            | Some _ | None -> Error (Protocol.Unknown_strategy sname))
         | Ok s -> Ok ([ s ], Strategies.name s)
         | Error _ -> Error (Protocol.Unknown_strategy sname)
     in
@@ -548,9 +530,6 @@ let solve_and_render t ((k : keyed), instance) :
           Sanitize.note_instance_decoded ();
           p
     in
-    let config =
-      { Strategies.default_config with dispatch = t.config.dispatch }
-    in
     (* Every fresh solve needs the instance's structural profile — for
        the profile cache, and (under [Static_profile]) as the router's
        input.  A hit on the shared cache skips the re-analysis; the
@@ -566,7 +545,10 @@ let solve_and_render t ((k : keyed), instance) :
           with_cache t (fun () -> Lru.add t.profiles k.hash pr);
           pr
     in
-    let text, sols = render ~profile config k.strategies problem in
+    let text, sols =
+      render ~profile t.config.dispatch Strategies.default_config k.strategies
+        problem
+    in
     if not t.config.certify then Ok (text, 0)
     else begin
       let failure = ref None in

@@ -171,9 +171,9 @@ type config = {
       (** live-session bound: the listener refuses connection
           [max_conns + 1] with [Protocol.Server_busy] (code 11) while
           that many session domains are live *)
-  dispatch : Rc_core.Strategies.dispatch;
+  dispatch : Rc_analysis.Dispatch.mode;
       (** [Static_profile] routes every served solve through
-          {!Rc_analysis.Dispatch} acting on the server's profile
+          {!Rc_analysis.Dispatch.run} acting on the server's profile
           cache: a profile-cache hit feeds the cached analysis
           straight to the router, skipping the re-profiling.  Routing
           is a pure function of the profile, so a cached profile never
@@ -182,8 +182,7 @@ type config = {
           [solve --dispatch static].  (Static routing may legitimately
           differ from [Direct]: the dispatcher substitutes polynomial
           structural algorithms where the profile licenses them; the
-          two modes cache under distinct keys.)  {!create} installs
-          the dispatcher before spawning worker domains. *)
+          two modes cache under distinct keys.) *)
 }
 
 val default_config : config
@@ -268,15 +267,18 @@ val stats_text : t -> string
 (** {1 The one-shot path} *)
 
 val one_shot :
+  ?dispatch:Rc_analysis.Dispatch.mode ->
   ?config:Rc_core.Strategies.config ->
   strategies:Rc_core.Strategies.t list ->
   Rc_core.Problem.t ->
   string
 (** The canonical answer text: the instance's stats line, then one
-    {!Rc_core.Strategies.pp_report_canonical} line per strategy.  The
-    CLI [solve] subcommand prints exactly this, and every served
-    ANSWER carries exactly this — the byte-equality the differential
-    suite asserts.  Deterministic in [(config, strategies, problem)]. *)
+    {!Rc_core.Strategies.pp_report_canonical} line per strategy, each
+    solved by {!Rc_analysis.Dispatch.run} under [dispatch] (default
+    [Direct]).  The CLI [solve] subcommand prints exactly this, and
+    every served ANSWER carries exactly this — the byte-equality the
+    differential suite asserts.  Deterministic in [(dispatch, config,
+    strategies, problem)]. *)
 
 (** {1 Client} *)
 

@@ -225,12 +225,10 @@ let run ?pool ?domains ?(strategies = Strategies.all_heuristics)
     let outcome =
       if n > ceiling then Capped { ceiling }
       else
-        let cfg = { Strategies.default_config with check; seed = seed_i } in
+        let cfg = { Strategies.check; seed = seed_i } in
         match Strategies.evaluate_cfg cfg strategy p with
         | r -> Report r
         | exception Invalid_argument m -> Failed m
-        | exception (Strategies.Backend.Unknown_backend _ as e) ->
-            Failed (Printexc.to_string e)
     in
     { strategy = Strategies.name strategy; instance = ii; seed = seed_i; outcome }
   in

@@ -32,11 +32,10 @@ let solve cnf =
     else if List.mem [] cnf then None
     else
       (* Unit propagation. *)
-      match List.find_opt (fun c -> List.length c = 1) cnf with
-      | Some [ l ] ->
+      match List.find_map (function [ l ] -> Some l | _ -> None) cnf with
+      | Some l ->
           let v = abs l and value = l > 0 in
           dpll (simplify cnf v value) (IMap.add v value assign)
-      | Some _ -> assert false
       | None -> (
           (* Pure literal elimination. *)
           let polarity = Hashtbl.create 16 in
@@ -64,14 +63,18 @@ let solve cnf =
           match pure with
           | Some (v, value) -> dpll (simplify cnf v value) (IMap.add v value assign)
           | None -> (
-              (* Branch on the first variable of the first clause. *)
+              (* Branch on the first variable of the first clause.  An
+                 empty first clause is unsatisfiable, and no clause at
+                 all is satisfied (both are caught above; the arms keep
+                 the match total). *)
               match cnf with
               | (l :: _) :: _ -> (
                   let v = abs l in
                   match dpll (simplify cnf v true) (IMap.add v true assign) with
                   | Some _ as ok -> ok
                   | None -> dpll (simplify cnf v false) (IMap.add v false assign))
-              | [] :: _ | [] -> assert false))
+              | [] :: _ -> None
+              | [] -> Some assign))
   in
   match dpll cnf IMap.empty with
   | None -> None

@@ -407,14 +407,10 @@ let test_presolve_shrinks_interval () =
 (* ------------------------------------------------------------------ *)
 
 let test_dispatch () =
-  Dispatch.install ();
   let cfg =
-    {
-      Strategies.default_config with
-      dispatch = Strategies.Static_profile;
-      check = Strategies.Assert_conservative;
-    }
+    { Strategies.default_config with check = Strategies.Assert_conservative }
   in
+  let route = Dispatch.run Dispatch.Static_profile cfg in
   Qcheck_gen.run_seeds ~name:"analysis.dispatch-exact" ~count:40 (fun seed ->
       let p =
         Qcheck_gen.problem ~n:(10 + (seed mod 6))
@@ -422,7 +418,7 @@ let test_dispatch () =
           seed
       in
       let direct = Exact.conservative p in
-      let routed = Strategies.run_cfg cfg Strategies.Exact_conservative p in
+      let routed = route Strategies.Exact_conservative p in
       Alcotest.(check int)
         (Printf.sprintf "seed %d: routed exact is optimal" seed)
         (Coalescing.coalesced_weight direct)
@@ -432,21 +428,18 @@ let test_dispatch () =
         Qcheck_gen.problem_in ~cls:Qcheck_gen.Chordal ~n:30 ~density:0.3
           ~affinity_fraction:0.4 seed
       in
-      let routed =
-        Strategies.run_cfg cfg (Strategies.Conservative Conservative.Briggs) p
-      in
+      let routed = route (Strategies.Conservative Conservative.Briggs) p in
       (* The router's decision table, pinned branch by branch: an
          interval certificate routes to the endpoint walk, chordal
          routes to the Theorem-5 path, whatever the nominal
          heuristic.  (Assert_conservative already re-checked
          [routed].) *)
-      let direct = { cfg with dispatch = Strategies.Direct } in
       let profile = Profile.analyze p in
       let expected =
         match Profile.interval_order profile with
         | Some order -> Interval_walk.coalesce ~order p
         | None ->
-            Strategies.run_cfg direct
+            Strategies.run_cfg cfg
               (if profile.Profile.chordal then Strategies.Chordal_incremental
                else Strategies.Conservative Conservative.Briggs)
               p

@@ -11,7 +11,8 @@
    2^m oracle, race-vs-bb identity with counter invariants, rows x
    domain-count byte-identity through the pool, cancellation fault
    injection (a winner killed mid-certify must not kill the race), and
-   the typed registry failures. *)
+   the closed set of exact backends (the "registry" group: the
+   [exact:NAME] spellings and their refusals). *)
 
 module G = Rc_graph.Graph
 module Problem = Rc_core.Problem
@@ -452,7 +453,7 @@ let test_provenance () =
     (direct.Strategies.provenance = None)
 
 (* ------------------------------------------------------------------ *)
-(* Registry and spellings                                              *)
+(* Exact backends and spellings                                       *)
 (* ------------------------------------------------------------------ *)
 
 let test_spellings () =
@@ -478,18 +479,31 @@ let test_spellings () =
   | Ok Strategies.Exact_conservative -> ()
   | _ -> Alcotest.fail "exact must keep spelling the branch-and-bound"
 
-let test_builtin_backends_registered () =
-  let known = Strategies.Backend.known () in
+let test_exact_backends_order () =
+  Alcotest.(check (list string))
+    "exact backends, in order" [ "bb"; "pb"; "race" ] Strategies.exact_backends
+
+(* The set is closed: of_string takes exactly the three names, and any
+   other exact:NAME — a typo, or the name of the static router, which
+   is a routing mode and not a backend — is refused at parse time with
+   the known names in the message. *)
+let test_exact_spellings_closed () =
   List.iter
     (fun b ->
-      check (b ^ " registered") true (List.mem b known);
-      match Strategies.Backend.find b with
-      | Some bk ->
-          check (b ^ " is exact") true bk.Strategies.Backend.caps.exact;
-          check (b ^ " is not a router") false
-            bk.Strategies.Backend.caps.router
-      | None -> Alcotest.failf "backend %s not found" b)
-    [ "bb"; "pb"; "race" ]
+      match Strategies.of_string ("exact:" ^ b) with
+      | Ok (Strategies.Exact_backend b') -> check_string ("exact:" ^ b) b b'
+      | _ -> Alcotest.failf "exact:%s refused" b)
+    [ "bb"; "pb"; "race" ];
+  List.iter
+    (fun spelling ->
+      match Strategies.of_string spelling with
+      | Ok _ -> Alcotest.failf "%s accepted" spelling
+      | Error m ->
+          List.iter
+            (fun b ->
+              check (spelling ^ " refusal lists " ^ b) true (contains m b))
+            [ "bb"; "pb"; "race" ])
+    [ "exact:nope"; "exact:static" ]
 
 let test_unknown_backend () =
   let p = random_problem ~n:8 ~n_affinities:3 5 in
@@ -498,28 +512,12 @@ let test_unknown_backend () =
       (Strategies.Exact_backend "nope")
       p
   with
-  | exception Strategies.Backend.Unknown_backend { requested; known } ->
-      check_string "requested name carried" "nope" requested;
-      List.iter
-        (fun b -> check (b ^ " listed as known") true (List.mem b known))
-        [ "bb"; "pb"; "race" ]
-  | _ -> Alcotest.fail "expected Unknown_backend"
-
-(* Registered last on purpose: Dispatch.install adds the "static"
-   router to the global registry, and the tests above assert against
-   the pristine builtin table. *)
-let test_router_not_exact () =
-  Rc_analysis.Dispatch.install ();
-  let p = random_problem ~n:8 ~n_affinities:3 7 in
-  match
-    Strategies.run_cfg Strategies.default_config
-      (Strategies.Exact_backend "static")
-      p
-  with
   | exception Invalid_argument m ->
-      check "refusal names the router" true
-        (contains m "router")
-  | _ -> Alcotest.fail "expected the router refusal for exact:static"
+      check "requested name carried" true (contains m "\"nope\"");
+      List.iter
+        (fun b -> check (b ^ " listed as known") true (contains m b))
+        [ "bb"; "pb"; "race" ]
+  | _ -> Alcotest.fail "expected Invalid_argument"
 
 let () =
   Alcotest.run "rc_portfolio"
@@ -572,11 +570,11 @@ let () =
       ( "registry",
         [
           Alcotest.test_case "spelling round-trips" `Quick test_spellings;
-          Alcotest.test_case "builtins registered" `Quick
-            test_builtin_backends_registered;
-          Alcotest.test_case "unknown backend is typed" `Quick
+          Alcotest.test_case "exact backends, in order" `Quick
+            test_exact_backends_order;
+          Alcotest.test_case "of_string takes exactly bb|pb|race" `Quick
+            test_exact_spellings_closed;
+          Alcotest.test_case "unknown backend is Invalid_argument" `Quick
             test_unknown_backend;
-          Alcotest.test_case "router refused as exact" `Quick
-            test_router_not_exact;
         ] );
     ]

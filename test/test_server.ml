@@ -19,8 +19,8 @@
      (zero cross-connection interference);
    - binary format: of_binary (to_binary p) = p exactly across the
      random families and at 10^5 vertices, text->binary->text
-     agreement, the mmap file path, and typed errors (never an
-     exception) on malformed bytes;
+     agreement, a file written and read back whole, and typed errors
+     (never an exception) on malformed bytes;
    - text format: parse (print p) = p exactly (the strengthened
      Instance_io contract), plus a hand-written unnormalized file;
    - drain: SHUTDOWN answers every pending request before BYE (over a
@@ -389,17 +389,23 @@ let run_protocol_fuzz ~name t connect =
                       Alcotest.fail
                         "connection dead after a request-layer error")
               | 6 ->
-                  Client.send_solve fd ~strategy:"no-such-strategy"
-                    ~encoding:`Binary (Io.to_binary base_problem);
-                  Client.send_flush fd;
-                  expect_code "unknown strategy"
-                    (Protocol.code (Protocol.Unknown_strategy ""));
-                  Client.send_ping fd;
-                  (match Client.recv fd with
-                  | Client.Resp Client.Pong -> ()
-                  | _ ->
-                      Alcotest.fail
-                        "connection dead after an unknown strategy")
+                  (* An unknown name, an unknown exact backend and the
+                     static router (a routing mode, not a backend) are
+                     all refused on the same live connection. *)
+                  List.iter
+                    (fun strategy ->
+                      Client.send_solve fd ~strategy ~encoding:`Binary
+                        (Io.to_binary base_problem);
+                      Client.send_flush fd;
+                      expect_code ("unknown strategy " ^ strategy)
+                        (Protocol.code (Protocol.Unknown_strategy ""));
+                      Client.send_ping fd;
+                      match Client.recv fd with
+                      | Client.Resp Client.Pong -> ()
+                      | _ ->
+                          Alcotest.failf "connection dead after strategy %S"
+                            strategy)
+                    [ "no-such-strategy"; "exact:foo"; "exact:static" ]
               | _ ->
                   (* A valid SOLVE followed by interleaved garbage: the
                      answer must stream before the stream poisons. *)
@@ -524,24 +530,17 @@ let test_binary_large () =
   let sorted = Array.copy labels in
   Array.sort compare sorted;
   Alcotest.(check bool) "labels strictly increasing" true (labels = sorted);
-  (* Files: write, mmap back, full read — all three agree. *)
+  (* Files: write, then read back whole and decode. *)
   let path = Filename.temp_file "rcbi" ".bin" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       Io.write_binary_file path p;
-      (match Io.map_binary_file path with
-      | Ok v ->
-          Alcotest.(check bool)
-            "mmap view materializes equal" true
-            (problem_equal p (Io.view_problem v))
-      | Error e ->
-          Alcotest.failf "map_binary_file: %s" (Io.bin_error_to_string e));
-      match Io.read_binary_file path with
+      let bytes = In_channel.with_open_bin path In_channel.input_all in
+      match Io.of_binary bytes with
       | Ok q ->
-          Alcotest.(check bool) "read_binary_file" true (problem_equal p q)
-      | Error e ->
-          Alcotest.failf "read_binary_file: %s" (Io.bin_error_to_string e))
+          Alcotest.(check bool) "file read back equal" true (problem_equal p q)
+      | Error e -> Alcotest.failf "file: %s" (Io.bin_error_to_string e))
 
 (* The keying entry point reads an encoding in place, at an offset
    inside a longer string (the server's read buffer), and must reach
@@ -604,10 +603,6 @@ let test_binary_malformed () =
   expect "truncated at a word boundary"
     (String.sub b 0 (String.length b - 4))
     (function Io.Bin_truncated _ -> true | _ -> false);
-  (match Io.map_binary_file "/nonexistent/rcbi.bin" with
-  | Error (Io.Bin_io _) -> ()
-  | Error e -> Alcotest.failf "missing file: wrong error %s" (Io.bin_error_to_string e)
-  | Ok _ -> Alcotest.fail "missing file: decoded successfully");
   (* Arbitrary corruption must yield Ok or a typed error — never an
      exception.  (A single flipped byte can still decode: e.g. a weight
      byte.  The guarantee under test is totality, not rejection.)  The

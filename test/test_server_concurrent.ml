@@ -625,27 +625,18 @@ let strategy_of token =
 let test_static_dispatch_served () =
   let p = disjoint_gadget () in
   let bin = Io.to_binary p in
-  let config =
-    {
-      Server.default_config with
-      dispatch = Rc_core.Strategies.Static_profile;
-    }
-  in
+  let dispatch = Rc_analysis.Dispatch.Static_profile in
+  let config = { Server.default_config with dispatch } in
   let ph0 = Sanitize.serve_profile_hits ()
   and pm0 = Sanitize.serve_profile_misses () in
   with_serving ~config (fun t path ->
-      (* Server.create installed the static dispatcher, so the one-shot
-         references under both dispatch modes are available here. *)
-      let static_cfg =
-        { Strategies.default_config with dispatch = Strategies.Static_profile }
-      in
       let briggs = [ strategy_of "briggs" ] and exact = [ strategy_of "exact" ] in
-      let briggs_static = Server.one_shot ~config:static_cfg ~strategies:briggs p
-      and exact_static = Server.one_shot ~config:static_cfg ~strategies:exact p in
+      let briggs_static = Server.one_shot ~dispatch ~strategies:briggs p
+      and exact_static = Server.one_shot ~dispatch ~strategies:exact p in
       (* Routing is deterministic in the profile: the reference is
          reproducible before any serving happens. *)
       Alcotest.(check string) "static one_shot is deterministic" briggs_static
-        (Server.one_shot ~config:static_cfg ~strategies:briggs p);
+        (Server.one_shot ~dispatch ~strategies:briggs p);
       (* Connection 1: briggs — profiles the gadget, fills the cache. *)
       let fd = with_timeout (Client.connect path) in
       Client.send_solve fd ~strategy:"briggs" ~encoding:`Binary bin;
